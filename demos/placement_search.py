@@ -7,6 +7,12 @@ the previous block's positions (here: the sector centroids), scatters
 candidate placements, and repeatedly shrinks the sampling radius around
 the best one. Moving costs real energy, so improvements must buy more in
 transmit power than they spend in propulsion.
+
+A candidate's motion and hover energy alone (`particle_floor`) is a lower
+bound on its score, since transmit energy is never negative. Candidates
+whose floor already reaches the best score so far cannot win, so the
+search prunes them without re-solving the radio problem; the answer is
+the same as scoring every one.
 """
 
 import numpy as np
@@ -15,6 +21,7 @@ from dronegrid import (
     SearchConfig,
     evaluate_particle,
     load_scenario,
+    particle_floor,
     search_positions,
     sector_partition,
 )
@@ -34,17 +41,21 @@ def evaluator(cand):
                              sc.time, sc.rates, sc.solver)
 
 
+def floor(cand):
+    return particle_floor(cand, centers, sc.energy, sc.time)
+
+
 stay_cost = evaluator(centers)
 cfg = SearchConfig(particles=12, max_refines=3, seed=0)
-best, best_val, evals = search_positions(
+best, best_val, evals, pruned = search_positions(
     centers, centers, evaluator, cfg, sc.bounds, reach,
-    np.random.default_rng(0),
+    np.random.default_rng(0), bound=floor,
 )
 
 print("sector centroids:")
 print(np.round(centers, 1))
 print(f"cost of staying put: {stay_cost / 1e3:.3f} kJ")
-print(f"\nbest found after {evals} evaluations:")
+print(f"\nbest found after {evals} evaluations; {pruned} candidates pruned unscored:")
 print(np.round(best, 1))
 print(f"cost: {best_val / 1e3:.3f} kJ")
 moved = np.linalg.norm(best - centers, axis=1)

@@ -39,6 +39,7 @@ from .placement import (
     AreaBounds,
     SearchConfig,
     evaluate_particle,
+    particle_floor,
     search_positions,
     sector_partition,
 )
@@ -127,6 +128,7 @@ class BlockResult:
     alloc: Allocation | None = None
     sca_iterations: int = 0
     placement_evals: int = 0
+    placement_pruned: int = 0
     events: list = field(default_factory=list)
 
 
@@ -266,8 +268,9 @@ def run_simulation(sc: Scenario) -> list:
                 sc.rates, particle_solver,
             )
 
-        best_act, best_val, evals = search_positions(
-            prev_act, centers_act, evaluator, search_cfg, sc.bounds, reach, place_rng
+        best_act, _, evals, pruned = search_positions(
+            prev_act, centers_act, evaluator, search_cfg, sc.bounds, reach, place_rng,
+            bound=lambda cand: particle_floor(cand, prev_act, sc.energy, sc.time),
         )
         gains = gain_table(best_act, user_pos, sc.channel)
         try:
@@ -294,7 +297,9 @@ def run_simulation(sc: Scenario) -> list:
         if not bh_ok:
             events.append(("backhaul_exceeded", "network", sum_rate))
 
-        # (iv) battery recursions
+        # (iv) battery recursions; a strict-mode depletion still completes
+        # the block's accounting, so the partial record obeys the ledgers
+        depleted = None
         speeds = np.zeros(D)
         hardware_j = np.zeros(D)
         hover_j = np.zeros(D)
@@ -319,13 +324,8 @@ def run_simulation(sc: Scenario) -> list:
                 if sc.permissive_depletion:
                     active[d] = False
                     events.append(("drone_grounded", f"drone{d}", 0.0))
-                else:
-                    results.append(_partial_block(n, new_positions, speeds, batteries_start,
-                                                  new_batteries, hardware_j, hover_j, transmit_j,
-                                                  rate_vals, charge, pd_battery_start, pd,
-                                                  pd_swapped, bh_ok, sum_rate, active, alloc,
-                                                  sca, evals, events, U))
-                    raise DepletionError(int(d), n, results)
+                elif depleted is None:
+                    depleted = int(d)
             elif new_batteries[d] <= sc.battery.threshold:
                 events.append(("below_threshold", f"drone{d}", new_batteries[d]))
 
@@ -345,13 +345,6 @@ def run_simulation(sc: Scenario) -> list:
                 pd.battery, pd_speed, int(charge.sum()), sc.pd_energy, sc.battery, sc.time
             )
             pd_battery = pd.battery
-            if pd.battery < 0:
-                results.append(_partial_block(n, new_positions, speeds, batteries_start,
-                                              new_batteries, hardware_j, hover_j, transmit_j,
-                                              rate_vals, charge, pd_battery_start, pd,
-                                              pd_swapped, bh_ok, sum_rate, active, alloc,
-                                              sca, evals, events, U))
-                raise PdDepletedError(n, results)
 
         positions = new_positions
         batteries = new_batteries
@@ -376,23 +369,14 @@ def run_simulation(sc: Scenario) -> list:
             alloc=alloc,
             sca_iterations=sca.iteration,
             placement_evals=evals,
+            placement_pruned=pruned,
             events=events,
         ))
+        if depleted is not None:
+            raise DepletionError(depleted, n, results)
+        if pd_battery < 0:
+            raise PdDepletedError(n, results)
     return results
-
-
-def _partial_block(n, positions, speeds, batteries_start, batteries, hardware_j, hover_j,
-                   transmit_j, rate_vals, charge, pd_battery_start, pd, pd_swapped,
-                   bh_ok, sum_rate, active, alloc, sca, evals, events, U) -> BlockResult:
-    return BlockResult(
-        block=n, positions=positions.copy(), speeds=speeds, batteries_start=batteries_start,
-        batteries=batteries.copy(), hardware_j=hardware_j, hover_j=hover_j,
-        transmit_j=transmit_j, user_rate_values=rate_vals, charge=charge,
-        pd_battery_start=pd_battery_start, pd_battery=pd.battery if pd else float("nan"),
-        pd_speed=0.0, pd_swapped=pd_swapped, backhaul_ok=bh_ok, sum_rate=sum_rate,
-        active_drones=active.copy(), alloc=alloc, sca_iterations=sca.iteration,
-        placement_evals=evals, events=events,
-    )
 
 
 def audit_run(sc: Scenario, results: list) -> list:

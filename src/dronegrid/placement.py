@@ -8,6 +8,18 @@ subproblem re-solved at the candidate positions), and the best is refined
 by repeatedly shrinking the sampling radius around the incumbent and
 realigning the swarm there. Candidates always respect the area bounds and
 each drone's per-block reachability disc.
+
+Pruning. Transmit energy is never negative, so a candidate's motion and
+hover energy alone (`particle_floor`) bound its score from below, and the
+incumbent is only replaced by a strictly lower score. A candidate whose
+floor already reaches the incumbent's score cannot be accepted, so the
+search skips its radio solve. The floor is the score's own sum started
+from 0.0 instead of the transmit term, adding the same terms in the same
+order; rounded addition is monotone, so the floor never exceeds the score,
+exactly and not just within a tolerance. Every round draws all of its
+particles before scoring any, so pruning leaves the random stream, the
+incumbent sequence and the stopping rule unchanged: the search returns
+the same positions and value as without pruning, after fewer radio solves.
 """
 
 from __future__ import annotations
@@ -183,12 +195,51 @@ def evaluate_particle(
         alloc, _ = solve_allocation(gains, rcp, solver_cfg, noise)
     except RateInfeasibleError:
         return math.inf
-    total = float(alloc.power.sum()) * tg.block_s
+    return _add_motion_hover(
+        float(alloc.power.sum()) * tg.block_s, positions, prev_positions, ep, tg
+    )
+
+
+def particle_floor(
+    positions: np.ndarray,
+    prev_positions: np.ndarray,
+    ep: EnergyParams,
+    tg: TimeGrid,
+) -> float:
+    """Lower bound (joules) on `evaluate_particle` at the same placement.
+
+    The score's motion and hover terms without the transmit term, summed
+    the same way from 0.0, so it never exceeds the score in floating point.
+    """
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
+    return _add_motion_hover(0.0, positions, prev_positions, ep, tg)
+
+
+def _add_motion_hover(total, positions, prev_positions, ep, tg) -> float:
+    """Add each drone's motion energy (at the speed implied by its
+    displacement from the previous block) and hover energy to `total`."""
     for d in range(positions.shape[0]):
         disp = float(np.hypot(*(positions[d] - prev_positions[d])))
         speed = min(disp / tg.move_s, ep.v_max) if tg.move_s > 0 else 0.0
         total += hardware_energy(speed, ep, tg.move_s) + hover_energy(ep, tg)
     return total
+
+
+def _score_round(parts, best, best_val, evaluator, bound):
+    """Score one round's particles against the incumbent; returns (best,
+    best_val, evaluations, pruned). A particle whose bound reaches the
+    running best is skipped: its score could not be strictly lower."""
+    evals = pruned = 0
+    for cand in parts:
+        if bound is not None and bound(cand) >= best_val:
+            pruned += 1
+            continue
+        val = evaluator(cand)
+        evals += 1
+        if val < best_val:
+            best, best_val = cand, val
+    return best, best_val, evals, pruned
 
 
 def shrink_and_realign(
@@ -201,21 +252,20 @@ def shrink_and_realign(
     bounds: AreaBounds,
     prev_positions: np.ndarray,
     reach_radius: float,
+    bound=None,
 ):
     """One refinement round: shrink the radius, rescatter around the
-    incumbent, keep the best of old and new. Returns (positions, value,
-    new_radius, evaluations)."""
+    incumbent, keep the best of old and new. `bound`, when given, is a
+    lower bound on `evaluator` used to skip hopeless particles. Returns
+    (positions, value, new_radius, evaluations, pruned)."""
     new_radius = radius * cfg.shrink_factor
     parts = generate_particles(
         incumbent, new_radius, cfg.particles, rng, bounds, prev_positions, reach_radius
     )
-    best = np.asarray(incumbent, dtype=float)
-    best_val = incumbent_value
-    for cand in parts:
-        val = evaluator(cand)
-        if val < best_val:
-            best, best_val = cand, val
-    return best, best_val, new_radius, len(parts)
+    best, best_val, evals, pruned = _score_round(
+        parts, np.asarray(incumbent, dtype=float), incumbent_value, evaluator, bound
+    )
+    return best, best_val, new_radius, evals, pruned
 
 
 def search_positions(
@@ -226,13 +276,18 @@ def search_positions(
     bounds: AreaBounds,
     reach_radius: float,
     rng: np.random.Generator | None = None,
+    bound=None,
 ):
     """Full per-block placement search.
 
     Starts from the zero-motion incumbent (staying put is always feasible),
     scatters an initial swarm around the sector centers, then runs up to
     cfg.max_refines shrink-and-realign rounds around the running best.
-    Returns (positions, value, evaluations).
+    `bound(cand)`, when given, must never exceed `evaluator(cand)`; every
+    particle whose bound reaches the running best is pruned unscored, which
+    leaves the result unchanged (None scores every particle). The
+    incumbent is always scored. Returns (positions, value, evaluations,
+    pruned), where evaluations counts the evaluator calls made.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -241,21 +296,19 @@ def search_positions(
     radius = cfg.init_radius if cfg.init_radius is not None else bounds.diagonal / 2
     best = prev_positions.copy()
     best_val = evaluator(best)
-    evals = 1
     parts = generate_particles(
         sector_centers, radius, cfg.particles, rng, bounds, prev_positions, reach_radius
     )
-    for cand in parts:
-        val = evaluator(cand)
-        if val < best_val:
-            best, best_val = cand, val
-    evals += len(parts)
+    best, best_val, evals, pruned = _score_round(parts, best, best_val, evaluator, bound)
+    evals += 1  # the incumbent's own score
     for _ in range(cfg.max_refines):
         before = best_val
-        best, best_val, radius, n = shrink_and_realign(
-            best, best_val, radius, evaluator, cfg, rng, bounds, prev_positions, reach_radius
+        best, best_val, radius, n, k = shrink_and_realign(
+            best, best_val, radius, evaluator, cfg, rng, bounds, prev_positions, reach_radius,
+            bound,
         )
         evals += n
+        pruned += k
         if before - best_val < cfg.tol * max(abs(before), 1e-300):
             break
-    return best, best_val, evals
+    return best, best_val, evals, pruned

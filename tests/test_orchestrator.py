@@ -176,6 +176,48 @@ def test_pd_exhaustion_without_standby_raises():
     assert any(e[0] == "pd_low_no_standby" for r in err.value.results for e in r.events)
 
 
+def test_pd_depletion_partial_record_keeps_the_pd_ledger():
+    # block 2 charges a drone, so the powering drone flies out to it and
+    # runs dry on the way; the partial record must carry that flight
+    sc = _mini({
+        "users": 0, "drones": 2, "pd_pool": 1, "time": {"blocks": 2},
+        "battery": {"initial_kj": 90.0, "threshold_kj": 80.0,
+                    "pd_initial_kj": 200.0, "pd_threshold_kj": 50.0},
+    })
+    with pytest.raises(PdDepletedError) as err:
+        run_simulation(sc)
+    assert err.value.block == 2
+    last = err.value.results[-1]
+    assert last.block == 2
+    assert last.charge.sum() == 1
+    assert last.pd_speed > 0.0
+    assert last.pd_battery < 0.0
+    assert last.pd_battery == pd_battery_step(
+        last.pd_battery_start, last.pd_speed, int(last.charge.sum()),
+        sc.pd_energy, sc.battery, sc.time,
+    )
+    assert audit_run(sc, err.value.results) == []
+
+
+def test_cdbs_depletion_partial_record_keeps_the_ledgers():
+    # the whole fleet runs dry in block 1: the record of that block still
+    # steps every drone and the powering drone
+    sc = _mini({
+        "users": 0, "drones": 2, "time": {"blocks": 2},
+        "battery": {"initial_kj": 30.0, "threshold_kj": 20.0},
+    })
+    with pytest.raises(DepletionError) as err:
+        run_simulation(sc)
+    assert err.value.drone == 0
+    last = err.value.results[-1]
+    assert (last.batteries == 0.0).all()
+    assert (last.hover_j > 0.0).all()
+    assert last.pd_battery == pd_battery_step(
+        last.pd_battery_start, last.pd_speed, 0, sc.pd_energy, sc.battery, sc.time,
+    )
+    assert audit_run(sc, err.value.results) == []
+
+
 def test_cdbs_depletion_strict_aborts():
     sc = _mini({
         "users": 0, "drones": 2, "time": {"blocks": 2},

@@ -12,6 +12,7 @@ from dronegrid import (
     evaluate_particle,
     generate_particles,
     hover_energy,
+    particle_floor,
     search_positions,
     sector_partition,
 )
@@ -94,7 +95,7 @@ def test_search_finds_synthetic_optimum():
         return float(np.sum((pos - target) ** 2))
 
     cfg = SearchConfig(particles=20, max_refines=4, seed=9)
-    best, val, evals = search_positions(
+    best, val, evals, _ = search_positions(
         np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0
     )
     assert np.linalg.norm(best - target) < 10.0
@@ -110,7 +111,7 @@ def test_search_keeps_incumbent_when_it_is_best():
         return float(np.sum((pos - prev) ** 2))
 
     cfg = SearchConfig(particles=10, max_refines=2, seed=4)
-    best, val, _ = search_positions(prev, np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0)
+    best, val, _, _ = search_positions(prev, np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0)
     np.testing.assert_array_equal(best, prev)
     assert val == 0.0
 
@@ -174,3 +175,105 @@ def test_evaluate_particle_infeasible_is_infinite():
     users = np.array([[350.0, 350.0]])
     val = evaluate_particle(pos, pos, users, cp, ep, tg, rcp, SolverConfig())
     assert val == np.inf
+
+
+# --- pruning: particle_floor bounds evaluate_particle exactly ---------------
+
+# the per-particle solver settings of an orchestrated run
+PARTICLE_SOLVER = SolverConfig(swap_passes=0, polish=False, sca_tol=1e-3, max_sca_iters=12)
+
+
+def _random_instance(rng, drones, users, noise, rate_floor):
+    prev = rng.uniform(-350.0, 350.0, size=(drones, 2))
+    pos = np.clip(prev + rng.uniform(-150.0, 150.0, size=(drones, 2)), -400.0, 400.0)
+    ue = rng.uniform(-400.0, 400.0, size=(users, 2))
+    rcp = RateConstraintParams(rate_floor=rate_floor, subchannels=3, max_power=1.0)
+    return pos, prev, ue, ChannelParams(noise_power=noise), rcp
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "noise, rate_floor",
+    [
+        (1e-10, 0.5),  # the shipped radio settings
+        (1e-16, 1e-6),  # transmit energy vanishes next to motion and hover
+        (1e-10, 0.0),  # no floor: transmit is exactly zero
+        (1e-2, 6.0),  # drowning noise: rate-infeasible, the score is inf
+    ],
+)
+def test_particle_floor_never_exceeds_the_score(seed, noise, rate_floor):
+    ep, tg = EnergyParams(), TimeGrid()
+    rng = np.random.default_rng(seed)
+    pos, prev, ue, cp, rcp = _random_instance(rng, 2, 3, noise, rate_floor)
+    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp, PARTICLE_SOLVER)
+    floor = particle_floor(pos, prev, ep, tg)
+    assert floor <= val
+    if rate_floor == 0.0:
+        assert floor == val
+    if noise == 1e-2:
+        assert val == np.inf and np.isfinite(floor)
+
+
+def _pruning_instance(noise):
+    # two drones, users in two clusters; the noise sets how much transmit
+    # energy a move can save against the motion it costs
+    ep, tg = EnergyParams(), TimeGrid()
+    cp = ChannelParams(noise_power=noise)
+    rcp = RateConstraintParams(rate_floor=2.0, max_power=10.0, subchannels=4, backhaul_cap=100.0)
+    users = np.array([[150.0, 150.0], [170.0, 130.0], [-250.0, 220.0]])
+    prev = np.array([[0.0, 0.0], [-100.0, 100.0]])
+
+    def ev(cand):
+        return evaluate_particle(cand, prev, users, cp, ep, tg, rcp, PARTICLE_SOLVER)
+
+    def bound(cand):
+        return particle_floor(cand, prev, ep, tg)
+
+    return prev, ev, bound, ep.v_max * tg.move_s
+
+
+@pytest.mark.parametrize("noise, moves", [(1e-8, True), (3e-10, False)])
+def test_pruning_leaves_the_search_unchanged(noise, moves):
+    prev, ev, bound, reach = _pruning_instance(noise)
+    cfg = SearchConfig(particles=6, max_refines=2, tol=0.0)
+    plain_rng, pruned_rng = np.random.default_rng(3), np.random.default_rng(3)
+    best, val, evals, pruned = search_positions(prev, prev, ev, cfg, BOUNDS, reach, plain_rng)
+    assert pruned == 0
+    best_p, val_p, evals_p, pruned_p = search_positions(
+        prev, prev, ev, cfg, BOUNDS, reach, pruned_rng, bound=bound
+    )
+    np.testing.assert_array_equal(best_p, best)
+    assert val_p == val
+    assert pruned_rng.uniform() == plain_rng.uniform()
+    # every drawn particle is either scored or pruned; the incumbent is
+    # always scored
+    drawn = cfg.particles * (1 + cfg.max_refines)
+    assert evals == 1 + drawn
+    assert evals_p + pruned_p == 1 + drawn
+    if moves:
+        # candidates win, and some are still pruned on the way
+        assert (best != prev).any()
+        assert 0 < pruned_p < drawn
+    else:
+        # the zero-motion incumbent wins and nothing else is scored
+        np.testing.assert_array_equal(best, prev)
+        assert (evals_p, pruned_p) == (1, drawn)
+
+
+def test_pruned_plus_evaluated_counts_every_particle_drawn():
+    # with a nonzero tol the search may stop early; the bound sees every
+    # drawn particle except the incumbent, so it counts what was drawn
+    prev, ev, bound, reach = _pruning_instance(1e-8)
+    drawn = []
+
+    def counting_bound(cand):
+        drawn.append(cand)
+        return bound(cand)
+
+    cfg = SearchConfig(particles=6, max_refines=4, seed=5)
+    _, _, evals, pruned = search_positions(
+        prev, prev, ev, cfg, BOUNDS, reach, bound=counting_bound
+    )
+    assert len(drawn) % cfg.particles == 0
+    assert pruned > 0
+    assert evals + pruned == 1 + len(drawn)
