@@ -46,7 +46,7 @@ def floor(cand):
 
 
 stay_cost = evaluator(centers)
-cfg = SearchConfig(particles=12, max_refines=3, seed=0)
+cfg = SearchConfig(particles=12, max_refines=3)
 best, best_val, evals, pruned = search_positions(
     centers, centers, evaluator, cfg, sc.bounds, reach,
     np.random.default_rng(0), bound=floor,

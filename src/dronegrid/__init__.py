@@ -19,7 +19,6 @@ from .assign_power import (
     check_backhaul,
     coupling_upper_bound,
     linearization_admits,
-    rate_split,
     sca_rate_upper_bound,
     solve_allocation,
     solve_power_given_binaries,
@@ -29,13 +28,9 @@ from .channel import (
     UserEquipment,
     gain_table,
     interference_table,
-    path_gain,
     rate_table,
-    sinr,
     sinr_table,
-    slant_distance,
     subchannel_rate,
-    user_rate,
     user_rates,
 )
 from .energy import (
@@ -47,7 +42,6 @@ from .energy import (
     hover_energy,
     hover_power,
     pd_battery_step,
-    transmit_energy,
 )
 from .orchestrator import (
     BlockResult,
@@ -119,9 +113,7 @@ __all__ = [
     "linearization_admits",
     "load_scenario",
     "particle_floor",
-    "path_gain",
     "pd_battery_step",
-    "rate_split",
     "rate_table",
     "run_simulation",
     "sca_rate_upper_bound",
@@ -129,13 +121,9 @@ __all__ = [
     "sector_partition",
     "serialize_scenario",
     "shrink_and_realign",
-    "sinr",
     "sinr_table",
-    "slant_distance",
     "solve_allocation",
     "solve_power_given_binaries",
     "subchannel_rate",
-    "transmit_energy",
-    "user_rate",
     "user_rates",
 ]

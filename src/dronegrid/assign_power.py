@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import interference_table
-
 LN2 = math.log(2.0)
 
 
@@ -165,49 +163,6 @@ def linearization_admits(power, assoc, chan, max_power: float, tol: float = 0.0)
 
 
 # ---------------------------------------------------------------------------
-# rate expressions
-# ---------------------------------------------------------------------------
-
-def rate_split(u: int, m: int, power: np.ndarray, gains: np.ndarray, noise_power: float):
-    """User u's rate on subchannel m written as a difference of two logs.
-
-    R1 takes every transmission on m (user u's included), R2 only the
-    interference; both are log2 of an affine function of the powers, so
-    R1 is the concave side and R2 the side the solver linearizes.
-    R1 - R2 equals the plain log2(1 + SINR) rate identically.
-    """
-    gains = np.asarray(gains, dtype=float)
-    power = np.asarray(power, dtype=float)
-    inr = interference_table(power, gains, noise_power)[u, m]
-    own = float(power[u, :, m] @ gains[u, :])
-    return math.log2(own + inr), math.log2(inr)
-
-
-def sca_rate_upper_bound(
-    u: int,
-    m: int,
-    power: np.ndarray,
-    ref_power: np.ndarray,
-    gains: np.ndarray,
-    noise_power: float,
-) -> float:
-    """First-order expansion of the interference log-term around ref_power.
-
-    Returns R2(ref) + sum_{i != u, j} gains[u, j] * (p - p_ref)[i, j, m]
-    / (ln2 * (interference at ref + noise)). Concavity of log2 makes this
-    a global upper bound on R2, tight at ref_power.
-    """
-    gains = np.asarray(gains, dtype=float)
-    power = np.asarray(power, dtype=float)
-    ref_power = np.asarray(ref_power, dtype=float)
-    inr_ref = interference_table(ref_power, gains, noise_power)[u, m]
-    diff = power[:, :, m] - ref_power[:, :, m]
-    diff[u, :] = 0.0  # own transmissions are not interference
-    slope = float(np.sum(gains[u, :] * diff.sum(axis=0))) / (LN2 * inr_ref)
-    return math.log2(inr_ref) + slope
-
-
-# ---------------------------------------------------------------------------
 # fixed-binary power solver (successive convex approximation)
 # ---------------------------------------------------------------------------
 
@@ -218,8 +173,9 @@ class _Struct:
     Active triple r is user tu[r] on drone td[r], subchannel tm[r]; its own
     power is variable r. den[r, v] is the gain with which variable v lands
     as interference in triple r's subchannel (zero for v belonging to the
-    same user or another subchannel), g_own[r] the direct gain. user_of
-    maps triple -> row of agg, the per-user summing matrix.
+    same user or another subchannel), g_own[r] the direct gain. Row k of
+    agg, the per-user summing matrix, sums the triples of user users[k].
+    noise is the noise power per subchannel, watts.
     """
 
     triples: list
@@ -229,10 +185,15 @@ class _Struct:
     cap_mat: np.ndarray
     users: np.ndarray
     shape: tuple
+    noise: float
 
     @property
     def n(self) -> int:
         return len(self.triples)
+
+    def pack(self, full) -> np.ndarray:
+        full = np.asarray(full, dtype=float)
+        return np.array([full[t] for t in self.triples])
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.shape)
@@ -242,10 +203,20 @@ class _Struct:
 
     def user_rates(self, x: np.ndarray) -> np.ndarray:
         """True per-user rates at the packed power vector x."""
-        inr = self.den @ x + self._noise
+        inr = self.den @ x + self.noise
         return self.agg @ np.log2(1.0 + self.g_own * x / inr)
 
-    _noise: float = 0.0
+    def interference_bound(self, y: np.ndarray):
+        """SCA surrogate of each user's summed log2(interference + noise).
+
+        The first-order Taylor expansion at the packed powers y. Returns
+        (lin, base) such that lin @ x + base bounds the term from above for
+        every x (log2 is concave) and equals it at x = y.
+        """
+        den_ref = self.den @ y + self.noise
+        w = 1.0 / (LN2 * den_ref)
+        lin = self.agg @ (self.den * w[:, None])
+        return lin, self.agg @ np.log2(den_ref) - lin @ y
 
 
 def _build_struct(assoc, chan, gains, noise_power: float):
@@ -278,19 +249,29 @@ def _build_struct(assoc, chan, gains, noise_power: float):
     cap_mat = np.zeros((D, n))
     for d in range(D):
         cap_mat[d, td == d] = 1.0
-    st = _Struct(triples, g_own, den, agg, cap_mat, users, (U, D, M))
-    st._noise = noise_power
-    return st
+    return _Struct(triples, g_own, den, agg, cap_mat, users, (U, D, M), noise_power)
+
+
+def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise_power: float) -> np.ndarray:
+    """The solver's surrogate of the interference term, on full tensors.
+
+    For every user holding a subchannel (in user order): the first-order
+    expansion around ref_power of the sum, over the user's subchannels, of
+    log2(interference + noise), evaluated at power. Only powers on the
+    triples that assoc and chan assign count. Concavity of log2 makes
+    this a global upper bound on the term, tight at ref_power.
+    """
+    st = _build_struct(assoc, chan, gains, noise_power)
+    lin, base = st.interference_bound(st.pack(ref_power))
+    return lin @ st.pack(power) + base
 
 
 def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig):
     """Solve one convexified problem anchored at y. Returns (x, ok)."""
     n = st.n
-    noise = st._noise
-    den_ref = st.den @ y + noise
-    w = 1.0 / (LN2 * den_ref)
-    lin = st.agg @ (st.den * w[:, None])  # per-user gradient of the linearized term
-    const = st.agg @ np.log2(den_ref) - lin @ y + rcp.rate_floor
+    noise = st.noise
+    lin, base = st.interference_bound(y)  # lin: per-user gradient of the surrogate
+    const = base + rcp.rate_floor
 
     def rate_slack(x):
         num = st.den @ x + st.g_own * x + noise
@@ -334,7 +315,7 @@ def _probe_start(st: _Struct, rcp: RateConstraintParams, cfg: SolverConfig):
     monotone from zero, so divergence or a cap/box breach flags the floor
     as unreachable and names the users that demand the excess power.
     """
-    noise = st._noise
+    noise = st.noise
     k_u = st.agg.sum(axis=1)  # subchannels per user
     per_user_need = 2.0 ** (rcp.rate_floor / k_u) - 1.0
     need = (st.agg.T @ per_user_need)  # per triple

@@ -51,23 +51,6 @@ class UserEquipment:
         return np.array([self.x, self.y])
 
 
-def slant_distance(drone_xy, ground_xy, altitude: float):
-    """3-D distance between a hover point and a ground position.
-
-    Accepts single positions or arrays broadcastable to (..., 2).
-    """
-    drone_xy = np.asarray(drone_xy, dtype=float)
-    ground_xy = np.asarray(ground_xy, dtype=float)
-    off2 = np.sum((drone_xy - ground_xy) ** 2, axis=-1)
-    return np.sqrt(altitude**2 + off2)
-
-
-def path_gain(drone_xy, ground_xy, cp: ChannelParams):
-    """Free-space gain ref_gain * (ref_dist / slant_distance)**2."""
-    d2 = slant_distance(drone_xy, ground_xy, cp.altitude) ** 2
-    return cp.ref_gain * cp.ref_dist**2 / d2
-
-
 def gain_table(drone_positions, user_positions, cp: ChannelParams) -> np.ndarray:
     """Gains for every (user, drone) pair.
 
@@ -101,12 +84,6 @@ def interference_table(power: np.ndarray, gains: np.ndarray, noise_power: float)
     return total - own + noise_power
 
 
-def sinr(u: int, d: int, m: int, power: np.ndarray, gains: np.ndarray, noise_power: float) -> float:
-    """SINR of user u served by drone d on subchannel m."""
-    inr = interference_table(power, gains, noise_power)
-    return float(power[u, d, m] * gains[u, d] / inr[u, m])
-
-
 def sinr_table(power: np.ndarray, gains: np.ndarray, noise_power: float) -> np.ndarray:
     """(U, D, M) SINR for every triple under the current power profile."""
     inr = interference_table(power, gains, noise_power)  # (U, M)
@@ -122,18 +99,6 @@ def subchannel_rate(sinr_value):
 def rate_table(power: np.ndarray, gains: np.ndarray, noise_power: float) -> np.ndarray:
     """(U, D, M) per-subchannel rates under the current power profile."""
     return subchannel_rate(sinr_table(power, gains, noise_power))
-
-
-def user_rate(u: int, assoc: np.ndarray, chan: np.ndarray, rates: np.ndarray) -> float:
-    """Total rate of user u: sum of assigned per-subchannel rates.
-
-    assoc: (U, D) user-drone indicators, chan: (U, D, M) subchannel
-    indicators, rates: (U, D, M). Unassigned triples carry zero power and
-    hence zero rate, so masking and summing agree with the plain sum over
-    positive-power entries.
-    """
-    mask = assoc[u][:, None] * chan[u]
-    return float(np.sum(mask * rates[u]))
 
 
 def user_rates(power: np.ndarray, gains: np.ndarray, noise_power: float) -> np.ndarray:

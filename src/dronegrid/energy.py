@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -82,16 +80,21 @@ class BatteryParams:
     threshold: float = 100e3
     pd_threshold: float = 100e3
     charge_per_block: float = 50e3
-    big_m: float = 1e6
 
     def __post_init__(self):
-        for name in ("initial", "pd_initial", "threshold", "pd_threshold", "charge_per_block", "big_m"):
+        for name in ("initial", "pd_initial", "threshold", "pd_threshold", "charge_per_block"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.threshold >= self.initial:
             raise ValueError("threshold must be below the initial charge")
         if self.pd_threshold >= self.pd_initial:
             raise ValueError("pd_threshold must be below pd_initial")
+
+
+def billed_speed(disp: float, ep: EnergyParams, move_s: float) -> float:
+    """Speed billed for a displacement of disp meters within one move
+    window: disp / move_s, capped at v_max; 0 when the window is empty."""
+    return min(disp / move_s, ep.v_max) if move_s > 0 else 0.0
 
 
 def hardware_energy(speed: float, ep: EnergyParams, move_s: float) -> float:
@@ -118,11 +121,6 @@ def hover_power(ep: EnergyParams) -> float:
 def hover_energy(ep: EnergyParams, tg: TimeGrid) -> float:
     """Hover energy for the serve window of one block."""
     return hover_power(ep) * (tg.block_s - tg.move_s)
-
-
-def transmit_energy(power: np.ndarray, block_s: float) -> np.ndarray:
-    """Per-drone RF energy over one block. power: (U, D, M) watts -> (D,) joules."""
-    return np.asarray(power, dtype=float).sum(axis=(0, 2)) * block_s
 
 
 def cdbs_battery_step(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .assign_power import RateConstraintParams, RateInfeasibleError, SolverConfig, solve_allocation
 from .channel import ChannelParams, gain_table
-from .energy import EnergyParams, TimeGrid, hardware_energy, hover_energy
+from .energy import EnergyParams, TimeGrid, billed_speed, hardware_energy, hover_energy
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ class SearchConfig:
     to half the area diagonal).
     tol: stop refining once a round improves the incumbent by less than
     this relative amount.
-    seed: optional seed for standalone use; orchestrated runs pass their
-    own generator instead.
     """
 
     particles: int = 20
@@ -84,7 +82,6 @@ class SearchConfig:
     max_refines: int = 4
     init_radius: float | None = None
     tol: float = 1e-3
-    seed: int | None = None
 
     def __post_init__(self):
         if self.particles < 1 or self.max_refines < 0:
@@ -221,7 +218,7 @@ def _add_motion_hover(total, positions, prev_positions, ep, tg) -> float:
     displacement from the previous block) and hover energy to `total`."""
     for d in range(positions.shape[0]):
         disp = float(np.hypot(*(positions[d] - prev_positions[d])))
-        speed = min(disp / tg.move_s, ep.v_max) if tg.move_s > 0 else 0.0
+        speed = billed_speed(disp, ep, tg.move_s)
         total += hardware_energy(speed, ep, tg.move_s) + hover_energy(ep, tg)
     return total
 
@@ -275,7 +272,7 @@ def search_positions(
     cfg: SearchConfig,
     bounds: AreaBounds,
     reach_radius: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     bound=None,
 ):
     """Full per-block placement search.
@@ -289,8 +286,6 @@ def search_positions(
     incumbent is always scored. Returns (positions, value, evaluations,
     pruned), where evaluations counts the evaluator calls made.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     sector_centers = np.atleast_2d(np.asarray(sector_centers, dtype=float))
     radius = cfg.init_radius if cfg.init_radius is not None else bounds.diagonal / 2

@@ -52,20 +52,19 @@ _SECTIONS = {
         "threshold_kj": ("threshold", KJ),
         "pd_threshold_kj": ("pd_threshold", KJ),
         "charge_per_block_kj": ("charge_per_block", KJ),
-        "big_m": ("big_m", 1.0),
     }),
     "time": (TimeGrid, {"blocks": ("blocks", 1.0), "block_s": ("block_s", 1.0), "move_s": ("move_s", 1.0)}),
     "rates": (RateConstraintParams, {k: (k, 1.0) for k in (
         "rate_floor", "backhaul_cap", "subchannels", "max_power")}),
     "search": (SearchConfig, {k: (k, 1.0) for k in (
-        "particles", "shrink_factor", "max_refines", "init_radius", "tol", "seed")}),
+        "particles", "shrink_factor", "max_refines", "init_radius", "tol")}),
     "solver": (SolverConfig, {k: (k, 1.0) for k in (
         "init_power", "sca_tol", "max_sca_iters", "inner_tol", "swap_passes",
         "exhaustive_cap", "probe_iters", "polish", "search_budget")}),
 }
 
 _INT_FIELDS = {"prop_count", "blocks", "subchannels", "particles", "max_refines",
-               "seed", "max_sca_iters", "swap_passes", "exhaustive_cap", "probe_iters",
+               "max_sca_iters", "swap_passes", "exhaustive_cap", "probe_iters",
                "search_budget"}
 _TOP_KEYS = {"seed", "drones", "pd_pool", "users", "permissive_depletion", "time_total_s"} | set(_SECTIONS)
 
@@ -80,7 +79,7 @@ def draw_users(count: int, bounds: AreaBounds, seed: int) -> list:
     return [UserEquipment(i, float(x), float(y)) for i, (x, y) in enumerate(pts)]
 
 
-_NULLABLE = {("search", "seed"), ("search", "init_radius")}
+_NULLABLE = {("search", "init_radius")}
 
 
 def _coerce(section: str, key: str, field: str, raw, scale: float, errors: list):

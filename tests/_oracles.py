@@ -6,6 +6,10 @@ enumeration, powers by grid search over per-user totals and split
 fractions, rates by direct evaluation of log2(1 + signal/interference).
 Only the two-user, two-subchannel shape is supported; that is the largest
 shape where the grid stays exhaustive at useful resolution.
+
+The surrogate checks share `random_binaries` and `interference_term`, the
+true interference log-term taken from the channel model's interference
+table rather than from the solver's packed view.
 """
 
 import itertools
@@ -75,6 +79,26 @@ def grid_oracle(gains, rate_floor, max_power, noise, steps=200,
         if best is None or obj < best:
             best = float(obj)
     return best
+
+
+def random_binaries(rng, U, D, M):
+    """(assoc, chan): one random drone per user and a random nonempty
+    subchannel set on it."""
+    assoc = np.zeros((U, D), dtype=np.int8)
+    assoc[np.arange(U), rng.integers(0, D, U)] = 1
+    held = rng.random((U, M)) < 0.5
+    held[np.arange(U), rng.integers(0, M, U)] = True
+    return assoc, (assoc[:, :, None] * held[:, None, :]).astype(np.int8)
+
+
+def interference_term(assoc, chan, power, gains, noise):
+    """(U,) each user's sum, over the subchannels it holds, of
+    log2(interference + noise)."""
+    from dronegrid import interference_table
+
+    log_inr = np.log2(interference_table(power, gains, noise))  # (U, M)
+    held = (np.asarray(assoc)[:, :, None] * chan).sum(axis=1)  # (U, M)
+    return (held * log_inr).sum(axis=1)
 
 
 def draw_tight_instance(seed, rcp_cls, solve, max_power=1.0, noise=1e-7):

@@ -11,18 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import draw_tight_instance, grid_oracle
+from _oracles import draw_tight_instance, grid_oracle, interference_term, random_binaries
 from dronegrid import (
     EnergyParams,
     RateConstraintParams,
     SolverConfig,
     cli_main,
+    gain_table,
     hardware_energy,
     hover_energy,
     hover_power,
     load_scenario,
-    path_gain,
-    rate_split,
     run_simulation,
     sca_rate_upper_bound,
     solve_allocation,
@@ -59,7 +58,7 @@ def test_gate_1_formulas_match_closed_forms():
         j = rng.uniform(-400, 400, 2)
         g = rng.uniform(-400, 400, 2)
         expect = cp.ref_gain * cp.ref_dist**2 / (cp.altitude**2 + float(np.sum((j - g) ** 2)))
-        assert path_gain(j, g, cp) == pytest.approx(expect, rel=1e-9)
+        assert gain_table([j], [g], cp)[0, 0] == pytest.approx(expect, rel=1e-9)
 
         ep = EnergyParams(
             mass=float(rng.uniform(0.5, 10.0)),
@@ -105,17 +104,16 @@ def test_gate_3_surrogate_bounds_the_interference_term():
     for _ in range(100):
         U, D, M = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         gains = rng.uniform(1e-8, 1e-6, (U, D))
-        ref = rng.uniform(0.0, 0.5, (U, D, M))
-        u = int(rng.integers(0, U))
-        m = int(rng.integers(0, M))
-        _, r2_ref = rate_split(u, m, ref, gains, 1e-10)
-        at_ref = sca_rate_upper_bound(u, m, ref, ref, gains, 1e-10)
+        assoc, chan = random_binaries(rng, U, D, M)
+        ref = rng.uniform(0.0, 0.5, (U, D, M)) * chan
+        r2_ref = interference_term(assoc, chan, ref, gains, 1e-10)
+        at_ref = sca_rate_upper_bound(assoc, chan, ref, ref, gains, 1e-10)
         assert at_ref == pytest.approx(r2_ref, rel=1e-12, abs=1e-12)
         for _ in range(100):
-            power = rng.uniform(0.0, 1.0, ref.shape)
-            _, r2 = rate_split(u, m, power, gains, 1e-10)
-            bound = sca_rate_upper_bound(u, m, power, ref, gains, 1e-10)
-            assert bound >= r2 - 1e-12 * max(1.0, abs(r2))
+            power = rng.uniform(0.0, 1.0, ref.shape) * chan
+            r2 = interference_term(assoc, chan, power, gains, 1e-10)
+            bound = sca_rate_upper_bound(assoc, chan, power, ref, gains, 1e-10)
+            assert np.all(bound >= r2 - 1e-12 * np.maximum(1.0, np.abs(r2)))
 
 
 def test_gate_4_solver_tracks_brute_force_within_five_percent():

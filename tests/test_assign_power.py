@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from _oracles import draw_tight_instance, grid_oracle
+from _oracles import draw_tight_instance, grid_oracle, interference_term, random_binaries
 from dronegrid import (
     Allocation,
     BatteryParams,
@@ -16,59 +14,74 @@ from dronegrid import (
     check_backhaul,
     coupling_upper_bound,
     gain_table,
+    interference_table,
     linearization_admits,
-    rate_split,
     sca_rate_upper_bound,
     sinr_table,
     solve_allocation,
     solve_power_given_binaries,
     user_rates,
 )
-from dronegrid.assign_power import coupling_admits
+from dronegrid.assign_power import _build_struct, coupling_admits
 
 NOISE = 1e-10
 
 
 def _random_setup(rng, U=3, D=2, M=3):
+    """Gains, random binaries and powers living on the assigned triples."""
     gains = rng.uniform(1e-8, 1e-6, (U, D))
-    power = rng.uniform(0.0, 0.3, (U, D, M))
-    return gains, power
+    assoc, chan = random_binaries(rng, U, D, M)
+    power = rng.uniform(0.0, 0.3, (U, D, M)) * chan
+    return gains, assoc, chan, power
 
 
 def test_rate_split_reassembles_plain_rate():
+    # the difference-of-logs form: log2 of everything received, minus the
+    # interference term the solver linearizes (here the surrogate at its
+    # own anchor), must match the summed log2(1 + SINR) rates
     rng = np.random.default_rng(31)
     for _ in range(50):
-        gains, power = _random_setup(rng)
-        for u in range(3):
-            for m in range(3):
-                r1, r2 = rate_split(u, m, power, gains, NOISE)
-                # the difference-of-logs form must match log2(1+SINR) for
-                # the aggregate over the user's serving drones
-                own = float(power[u, :, m] @ gains[u, :])
-                inr = 2.0**r2
-                assert r1 - r2 == pytest.approx(math.log2(1 + own / inr), abs=1e-12)
+        gains, assoc, chan, power = _random_setup(rng)
+        own = np.einsum("ud,udm->um", gains, power)
+        held = (assoc[:, :, None] * chan).sum(axis=1)
+        r1 = (held * np.log2(own + interference_table(power, gains, NOISE))).sum(axis=1)
+        r2 = sca_rate_upper_bound(assoc, chan, power, power, gains, NOISE)
+        np.testing.assert_allclose(r1 - r2, user_rates(power, gains, NOISE), rtol=0, atol=1e-12)
 
 
 def test_sca_bound_tight_at_reference():
     rng = np.random.default_rng(32)
     for _ in range(100):
-        gains, ref = _random_setup(rng)
-        u, m = rng.integers(0, 3), rng.integers(0, 3)
-        _, r2 = rate_split(u, m, ref, gains, NOISE)
-        bound = sca_rate_upper_bound(u, m, ref, ref, gains, NOISE)
-        assert bound == pytest.approx(r2, rel=1e-12, abs=1e-12)
+        gains, assoc, chan, ref = _random_setup(rng)
+        r2 = interference_term(assoc, chan, ref, gains, NOISE)
+        bound = sca_rate_upper_bound(assoc, chan, ref, ref, gains, NOISE)
+        np.testing.assert_allclose(bound, r2, rtol=1e-12, atol=1e-12)
 
 
 def test_sca_bound_dominates_everywhere():
     rng = np.random.default_rng(33)
     for _ in range(25):
-        gains, ref = _random_setup(rng)
+        gains, assoc, chan, ref = _random_setup(rng)
         for _ in range(100):
-            power = rng.uniform(0.0, 1.0, ref.shape)
-            u, m = rng.integers(0, 3), rng.integers(0, 3)
-            _, r2 = rate_split(u, m, power, gains, NOISE)
-            bound = sca_rate_upper_bound(u, m, power, ref, gains, NOISE)
-            assert bound >= r2 - 1e-12 * max(1.0, abs(r2))
+            power = rng.uniform(0.0, 1.0, ref.shape) * chan
+            r2 = interference_term(assoc, chan, power, gains, NOISE)
+            bound = sca_rate_upper_bound(assoc, chan, power, ref, gains, NOISE)
+            assert np.all(bound >= r2 - 1e-12 * np.maximum(1.0, np.abs(r2)))
+
+
+def test_packed_rates_equal_channel_model():
+    # the solver's packed per-user rates against the channel model on the
+    # scattered powers; users holding no subchannel are not in the packed view
+    rng = np.random.default_rng(40)
+    for _ in range(100):
+        U, D, M = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        gains = rng.uniform(1e-8, 1e-6, (U, D))
+        assoc, chan = random_binaries(rng, U, D, M)
+        chan[rng.random(U) < 0.2] = 0  # some users go unserved
+        st = _build_struct(assoc, chan, gains, NOISE)
+        x = rng.uniform(0.0, 1.0, st.n)
+        expect = user_rates(st.scatter(x), gains, NOISE)[st.users]
+        np.testing.assert_allclose(st.user_rates(x), expect, rtol=1e-12, atol=0)
 
 
 def test_linearized_set_equals_product_set():

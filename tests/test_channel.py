@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,39 +6,40 @@ from dronegrid import (
     UserEquipment,
     gain_table,
     interference_table,
-    path_gain,
     rate_table,
-    sinr,
     sinr_table,
-    slant_distance,
     subchannel_rate,
-    user_rate,
     user_rates,
 )
 
 
+def _gain(drone_xy, ground_xy, cp):
+    """gain_table for a single (user, drone) pair."""
+    return gain_table([drone_xy], [ground_xy], cp)[0, 0]
+
+
 def test_slant_distance_345_triangle():
-    # horizontal offset 100 m at altitude 100 m -> 100*sqrt(2)
-    d = slant_distance(np.array([100.0, 0.0]), np.array([0.0, 0.0]), 100.0)
-    assert d == pytest.approx(141.4213562373095, rel=1e-12)
-
-
-def test_slant_distance_zero_altitude_is_planar():
-    d = slant_distance(np.array([3.0, 0.0]), np.array([0.0, 4.0]), 0.0)
-    assert d == pytest.approx(5.0, rel=1e-12)
+    # the gain sees the 3-D slant distance: a horizontal offset of 100 m at
+    # altitude 100 m is 100*sqrt(2) away, and the planar offset combines
+    # both axes (3 m and 4 m make 5 m)
+    cp = ChannelParams(ref_gain=0.01, ref_dist=1.0, altitude=100.0)
+    g = _gain([100.0, 0.0], [0.0, 0.0], cp)
+    assert g == pytest.approx(0.01 / 141.4213562373095**2, rel=1e-12)
+    g = _gain([3.0, 0.0], [0.0, 4.0], cp)
+    assert g == pytest.approx(0.01 / (100.0**2 + 5.0**2), rel=1e-12)
 
 
 def test_path_gain_directly_below():
     cp = ChannelParams(ref_gain=0.01, ref_dist=1.0, altitude=100.0)
     # squared distance h^2 = 1e4 -> 0.01/1e4
-    g = path_gain(np.array([0.0, 0.0]), np.array([0.0, 0.0]), cp)
+    g = _gain([0.0, 0.0], [0.0, 0.0], cp)
     assert g == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_path_gain_halves_when_squared_distance_doubles():
     cp = ChannelParams(ref_gain=0.01, ref_dist=1.0, altitude=100.0)
-    g0 = path_gain(np.array([0.0, 0.0]), np.array([0.0, 0.0]), cp)
-    g1 = path_gain(np.array([100.0, 0.0]), np.array([0.0, 0.0]), cp)
+    g0 = _gain([0.0, 0.0], [0.0, 0.0], cp)
+    g1 = _gain([100.0, 0.0], [0.0, 0.0], cp)
     assert g1 == pytest.approx(g0 / 2, rel=1e-12)
     assert g1 == pytest.approx(5e-7, rel=1e-12)
 
@@ -56,7 +55,7 @@ def test_path_gain_random_draws_match_direct_formula():
         j = rng.uniform(-400, 400, 2)
         g = rng.uniform(-400, 400, 2)
         expect = cp.ref_gain * cp.ref_dist**2 / (cp.altitude**2 + np.sum((j - g) ** 2))
-        assert path_gain(j, g, cp) == pytest.approx(expect, rel=1e-12)
+        assert _gain(j, g, cp) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gain_table_matches_scalar_calls():
@@ -68,7 +67,7 @@ def test_gain_table_matches_scalar_calls():
     assert table.shape == (5, 3)
     for u in range(5):
         for d in range(3):
-            assert table[u, d] == pytest.approx(path_gain(drones[d], users[u], cp), rel=1e-14)
+            assert table[u, d] == pytest.approx(_gain(drones[d], users[u], cp), rel=1e-14)
 
 
 def test_user_equipment_xy():
@@ -120,7 +119,7 @@ def test_sinr_noise_only():
     gains = np.array([[1e-6]])
     power = np.zeros((1, 1, 1))
     power[0, 0, 0] = 0.1
-    val = sinr(0, 0, 0, power, gains, 1e-10)
+    val = sinr_table(power, gains, 1e-10)[0, 0, 0]
     assert val == pytest.approx(0.1 * 1e-6 / 1e-10, rel=1e-12)
     assert val == pytest.approx(1000.0, rel=1e-12)
 
@@ -132,7 +131,7 @@ def test_sinr_symmetric_pair_is_one_when_signal_equals_interference():
     power = np.zeros((2, 2, 1))
     power[0, 0, 0] = 0.5
     power[1, 1, 0] = 0.5
-    val = sinr(0, 0, 0, power, gains, 0.0)
+    val = sinr_table(power, gains, 0.0)[0, 0, 0]
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -144,8 +143,12 @@ def test_sinr_table_matches_scalar():
     for u in range(3):
         for d in range(2):
             for m in range(4):
+                # every other user's transmission on m, through u's gains
+                inr = 1e-10 + sum(
+                    power[i, j, m] * gains[u, j] for i in range(3) if i != u for j in range(2)
+                )
                 assert table[u, d, m] == pytest.approx(
-                    sinr(u, d, m, power, gains, 1e-10), rel=1e-12
+                    power[u, d, m] * gains[u, d] / inr, rel=1e-12
                 )
 
 
@@ -159,23 +162,24 @@ def test_rate_table_is_log2_of_one_plus_sinr():
 
 
 def test_user_rate_masks_by_binaries():
+    # the binaries mask the powers, so a user's rate is the sum of the rates
+    # on the subchannels it was assigned
     rng = np.random.default_rng(13)
     gains = rng.uniform(1e-8, 1e-6, (2, 2))
-    power = rng.uniform(0.01, 0.2, (2, 2, 3))
-    rates = rate_table(power, gains, 1e-10)
     assoc = np.array([[1, 0], [0, 1]])
     chan = np.zeros((2, 2, 3), dtype=int)
     chan[0, 0, :2] = 1
     chan[1, 1, 2] = 1
-    r0 = user_rate(0, assoc, chan, rates)
+    power = rng.uniform(0.01, 0.2, (2, 2, 3)) * assoc[:, :, None] * chan
+    rates = rate_table(power, gains, 1e-10)
+    r0, r1 = user_rates(power, gains, 1e-10)
     assert r0 == pytest.approx(rates[0, 0, 0] + rates[0, 0, 1], rel=1e-13)
-    r1 = user_rate(1, assoc, chan, rates)
     assert r1 == pytest.approx(rates[1, 1, 2], rel=1e-13)
 
 
 def test_user_rates_sums_where_power_lives():
     # with power placed only on owned triples, the unmasked per-user sum
-    # equals the masked user_rate for every user
+    # equals the sum of the rates masked by the binaries, for every user
     rng = np.random.default_rng(14)
     gains = rng.uniform(1e-8, 1e-6, (3, 2))
     assoc = np.array([[1, 0], [0, 1], [1, 0]])
@@ -187,7 +191,8 @@ def test_user_rates_sums_where_power_lives():
     totals = user_rates(power, gains, 1e-10)
     rates = rate_table(power, gains, 1e-10)
     for u in range(3):
-        assert totals[u] == pytest.approx(user_rate(u, assoc, chan, rates), rel=1e-12)
+        masked = float(np.sum(assoc[u][:, None] * chan[u] * rates[u]))
+        assert totals[u] == pytest.approx(masked, rel=1e-12)
 
 
 def test_rates_increase_with_own_power_decrease_with_interference():

@@ -12,8 +12,8 @@ from dronegrid import (
     hover_energy,
     hover_power,
     pd_battery_step,
-    transmit_energy,
 )
+from dronegrid.energy import billed_speed
 
 # reference parameter set used throughout: 1.5 kg quad, 0.127 m props
 EP_127 = EnergyParams(prop_radius=0.127)
@@ -112,13 +112,12 @@ def test_hover_energy_linear_in_window():
     assert hover_energy(EP_127, tg_half) == pytest.approx(hover_energy(EP_127, TG) / 2, rel=1e-12)
 
 
-def test_transmit_energy_sums_per_drone():
-    power = np.zeros((2, 3, 2))
-    power[0, 0, 0] = 0.1
-    power[0, 0, 1] = 0.2
-    power[1, 2, 0] = 0.5
-    out = transmit_energy(power, 480.0)
-    np.testing.assert_allclose(out, [0.3 * 480, 0.0, 0.5 * 480], rtol=1e-12)
+def test_billed_speed_is_displacement_over_window_capped_at_v_max():
+    ep = EnergyParams(v_max=20.0)
+    assert billed_speed(300.0, ep, 30.0) == 10.0
+    assert billed_speed(0.0, ep, 30.0) == 0.0
+    assert billed_speed(900.0, ep, 30.0) == 20.0  # capped
+    assert billed_speed(300.0, ep, 0.0) == 0.0  # no move window
 
 
 def test_cdbs_step_hover_only_block():

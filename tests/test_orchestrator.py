@@ -80,6 +80,16 @@ def test_battery_recursion_matches_reference(tiny_run):
             assert cur.batteries[d] == pytest.approx(expect, rel=1e-12)
 
 
+def test_transmit_energy_sums_per_drone(tiny_run):
+    # each drone's RF energy is its allocated power, summed over users and
+    # subchannels, held for the whole block
+    sc, res = tiny_run
+    for cur in res[1:]:
+        per_drone = cur.alloc.power.sum(axis=(0, 2)) * sc.time.block_s
+        np.testing.assert_allclose(cur.transmit_j, per_drone, rtol=1e-12)
+        assert (cur.transmit_j > 0).any()
+
+
 def test_run_is_deterministic(tiny_run):
     sc, res = tiny_run
     sc2 = _mini({"users": 3, "drones": 2, "seed": 11, "time": {"blocks": 2}})

@@ -94,9 +94,10 @@ def test_search_finds_synthetic_optimum():
     def ev(pos):
         return float(np.sum((pos - target) ** 2))
 
-    cfg = SearchConfig(particles=20, max_refines=4, seed=9)
+    cfg = SearchConfig(particles=20, max_refines=4)
     best, val, evals, _ = search_positions(
-        np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0
+        np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0,
+        np.random.default_rng(9),
     )
     assert np.linalg.norm(best - target) < 10.0
     assert val == pytest.approx(ev(best))
@@ -110,8 +111,10 @@ def test_search_keeps_incumbent_when_it_is_best():
     def ev(pos):
         return float(np.sum((pos - prev) ** 2))
 
-    cfg = SearchConfig(particles=10, max_refines=2, seed=4)
-    best, val, _, _ = search_positions(prev, np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0)
+    cfg = SearchConfig(particles=10, max_refines=2)
+    best, val, _, _ = search_positions(
+        prev, np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0, np.random.default_rng(4)
+    )
     np.testing.assert_array_equal(best, prev)
     assert val == 0.0
 
@@ -122,7 +125,7 @@ def test_search_deterministic_per_seed():
     def ev(pos):
         return float(np.sum((pos - target) ** 2))
 
-    cfg = SearchConfig(particles=8, max_refines=2, seed=7)
+    cfg = SearchConfig(particles=8, max_refines=2)
     centers = np.array([[0.0, 0.0], [0.0, 0.0]])
     prev = centers.copy()
     a = search_positions(prev, centers, ev, cfg, BOUNDS, 600.0, np.random.default_rng(1))
@@ -270,9 +273,9 @@ def test_pruned_plus_evaluated_counts_every_particle_drawn():
         drawn.append(cand)
         return bound(cand)
 
-    cfg = SearchConfig(particles=6, max_refines=4, seed=5)
+    cfg = SearchConfig(particles=6, max_refines=4)
     _, _, evals, pruned = search_positions(
-        prev, prev, ev, cfg, BOUNDS, reach, bound=counting_bound
+        prev, prev, ev, cfg, BOUNDS, reach, np.random.default_rng(5), bound=counting_bound
     )
     assert len(drawn) % cfg.particles == 0
     assert pruned > 0

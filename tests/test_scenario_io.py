@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dronegrid import (
     serialize_scenario,
 )
 from dronegrid.placement import AreaBounds
+from dronegrid.scenario_io import _SECTIONS
 
 FAST = {"search": {"particles": 4, "max_refines": 1}}
 
@@ -44,6 +47,30 @@ def test_unknown_keys_are_named():
     assert "typo_key" in text
     assert "initial" in text and "battery" in text
     assert len(err.value.errors) == 2  # both collected in one raise
+
+
+@pytest.mark.parametrize("section, key", [("battery", "big_m"), ("search", "seed")])
+def test_dropped_keys_fail_by_name(section, key):
+    # older files may still carry these keys; they fail through the
+    # unknown-key error, which names the key and its section
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({section: {key: 1}})
+    assert err.value.errors == [f"unknown key '{key}' in section '{section}'"]
+
+
+def test_readme_scenario_table_matches_the_loader():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Scenario format", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in table.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row:
+            listed[row[1]] = set(re.findall(r"`(\w+)`", row[2]))
+            if row[2].startswith("same keys"):
+                listed[row[1]] = listed["energy"]
+    assert set(listed) == set(_SECTIONS)
+    for section, (_, mapping) in _SECTIONS.items():
+        assert listed[section] == set(mapping), section
 
 
 def test_type_errors_are_collected():
