@@ -71,7 +71,6 @@ class SolverConfig:
 class ScaState:
     """Trace of one successive-convex-approximation run."""
 
-    ref_power: np.ndarray
     iteration: int
     objective_trace: list = field(default_factory=list)
     converged: bool = False
@@ -171,14 +170,20 @@ class _Struct:
     """Dense per-active-triple view of one fixed-binary instance.
 
     Active triple r is user tu[r] on drone td[r], subchannel tm[r]; its own
-    power is variable r. den[r, v] is the gain with which variable v lands
-    as interference in triple r's subchannel (zero for v belonging to the
-    same user or another subchannel), g_own[r] the direct gain. Row k of
-    agg, the per-user summing matrix, sums the triples of user users[k].
-    noise is the noise power per subchannel, watts.
+    power is variable r. The triples run in lexicographic (u, d, m) order,
+    the order np.nonzero walks the (U, D, M) mask in. That order is the
+    variable order SLSQP sees, and SLSQP's iterates (hence the traces)
+    depend on it, so it must not change. den[r, v] is the gain with which
+    variable v lands as interference in triple r's subchannel (zero for v
+    belonging to the same user or another subchannel), g_own[r] the direct
+    gain. Row k of agg, the per-user summing matrix, sums the triples of
+    user users[k]; row d of cap_mat sums the triples on drone d. noise is
+    the noise power per subchannel, watts.
     """
 
-    triples: list
+    tu: np.ndarray
+    td: np.ndarray
+    tm: np.ndarray
     g_own: np.ndarray
     den: np.ndarray
     agg: np.ndarray
@@ -189,16 +194,14 @@ class _Struct:
 
     @property
     def n(self) -> int:
-        return len(self.triples)
+        return self.tu.size
 
     def pack(self, full) -> np.ndarray:
-        full = np.asarray(full, dtype=float)
-        return np.array([full[t] for t in self.triples])
+        return np.asarray(full, dtype=float)[self.tu, self.td, self.tm]
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         full = np.zeros(self.shape)
-        for r, (u, d, m) in enumerate(self.triples):
-            full[u, d, m] = x[r]
+        full[self.tu, self.td, self.tm] = x
         return full
 
     def user_rates(self, x: np.ndarray) -> np.ndarray:
@@ -225,31 +228,13 @@ def _build_struct(assoc, chan, gains, noise_power: float):
     gains = np.asarray(gains, dtype=float)
     U, D = assoc.shape
     M = chan.shape[2]
-    triples = [
-        (u, d, m)
-        for u in range(U)
-        for d in range(D)
-        for m in range(M)
-        if assoc[u, d] and chan[u, d, m]
-    ]
-    n = len(triples)
-    tu = np.array([t[0] for t in triples], dtype=int)
-    td = np.array([t[1] for t in triples], dtype=int)
-    tm = np.array([t[2] for t in triples], dtype=int)
-    g_own = gains[tu, td] if n else np.zeros(0)
-    den = np.zeros((n, n))
-    for r in range(n):
-        same_m = tm == tm[r]
-        other_user = tu != tu[r]
-        den[r, same_m & other_user] = gains[tu[r], td[same_m & other_user]]
-    users = np.unique(tu) if n else np.zeros(0, dtype=int)
-    agg = np.zeros((len(users), n))
-    for row, u in enumerate(users):
-        agg[row, tu == u] = 1.0
-    cap_mat = np.zeros((D, n))
-    for d in range(D):
-        cap_mat[d, td == d] = 1.0
-    return _Struct(triples, g_own, den, agg, cap_mat, users, (U, D, M), noise_power)
+    tu, td, tm = np.nonzero((assoc[:, :, None] != 0) & (chan != 0))
+    rival = (tm[:, None] == tm) & (tu[:, None] != tu)  # same subchannel, other user
+    den = np.where(rival, gains[tu[:, None], td], 0.0)
+    users = np.unique(tu)
+    agg = (users[:, None] == tu).astype(float)
+    cap_mat = (np.arange(D)[:, None] == td).astype(float)
+    return _Struct(tu, td, tm, gains[tu, td], den, agg, cap_mat, users, (U, D, M), noise_power)
 
 
 def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise_power: float) -> np.ndarray:
@@ -322,22 +307,13 @@ def _probe_start(st: _Struct, rcp: RateConstraintParams, cfg: SolverConfig):
     x = np.zeros(st.n)
     for _ in range(cfg.probe_iters):
         x_new = need * (st.den @ x + noise) / st.g_own
-        if np.allclose(x_new, x, rtol=1e-12, atol=0.0):
-            x = x_new
-            break
+        settled = np.all(np.abs(x_new - x) <= 1e-12 * np.abs(x))
         x = x_new
-        if np.any(x > rcp.max_power * 1e3):
+        if settled or np.any(x > rcp.max_power * 1e3):
             break
-    box_bad = x > rcp.max_power
-    cap_bad = st.cap_mat @ x > rcp.max_power
-    if not box_bad.any() and not cap_bad.any():
-        return x, True, []
-    tu = np.array([t[0] for t in st.triples])
-    td = np.array([t[1] for t in st.triples])
-    violators = set(tu[box_bad].tolist())
-    for d in np.nonzero(cap_bad)[0]:
-        violators.update(tu[td == d].tolist())
-    return x, False, sorted(violators)
+    # a triple is bad above the box or on a drone above its cap
+    bad = (x > rcp.max_power) | (st.cap_mat @ x > rcp.max_power)[st.td]
+    return x, not bad.any(), np.unique(st.tu[bad]).tolist()
 
 
 def _polish(x: np.ndarray, st: _Struct, rcp: RateConstraintParams) -> np.ndarray:
@@ -391,21 +367,18 @@ def solve_power_given_binaries(
     M = chan.shape[2]
     st = _build_struct(assoc, chan, gains, noise_power)
 
-    uncovered = [u for u in range(U) if u not in set(st.users.tolist())]
-    if uncovered and rcp.rate_floor > 0:
+    uncovered = np.setdiff1d(np.arange(U), st.users)
+    if uncovered.size and rcp.rate_floor > 0:
         raise RateInfeasibleError(uncovered, "user holds no subchannel")
     if st.n == 0 or rcp.rate_floor == 0.0:
-        state = ScaState(np.zeros((U, D, M)), 0, [0.0], converged=True)
+        state = ScaState(0, [0.0], converged=True)
         return np.zeros((U, D, M)), state
 
     # reference point: flat init_power, shrunk where a drone's triple count
     # would already break its cap
     base = min(cfg.init_power, rcp.max_power)
-    y = np.full(st.n, base)
-    loads = st.cap_mat @ np.ones(st.n)
-    for d in range(D):
-        if loads[d] * base > 0.9 * rcp.max_power:
-            y[st.cap_mat[d] > 0] = 0.9 * rcp.max_power / loads[d]
+    loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
+    y = np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
 
     trace = []
     accepted = None
@@ -445,7 +418,7 @@ def solve_power_given_binaries(
         # nudge marginal floors back over the line; the trace keeps the
         # pre-polish optima so its monotone property is untouched
         accepted = _polish(accepted, st, rcp)
-    state = ScaState(st.scatter(y), it, trace, converged=it < cfg.max_sca_iters)
+    state = ScaState(it, trace, converged=it < cfg.max_sca_iters)
     return st.scatter(accepted), state
 
 

@@ -9,7 +9,9 @@ shape where the grid stays exhaustive at useful resolution.
 
 The surrogate checks share `random_binaries` and `interference_term`, the
 true interference log-term taken from the channel model's interference
-table rather than from the solver's packed view.
+table rather than from the solver's packed view. `loop_struct` builds the
+solver's packed view of one instance with explicit loops, as the referee
+of its array construction.
 """
 
 import itertools
@@ -99,6 +101,40 @@ def interference_term(assoc, chan, power, gains, noise):
     log_inr = np.log2(interference_table(power, gains, noise))  # (U, M)
     held = (np.asarray(assoc)[:, :, None] * chan).sum(axis=1)  # (U, M)
     return (held * log_inr).sum(axis=1)
+
+
+def loop_struct(assoc, chan, gains):
+    """The packed view of fixed binaries, one element at a time.
+
+    Returns a dict of the solver's `_Struct` arrays: the held triples
+    (tu, td, tm) in nested-loop (u, d, m) order, g_own, den, agg, cap_mat
+    and users, with the meaning the solver's docstring gives them.
+    """
+    gains = np.asarray(gains, dtype=float)
+    U, D, M = np.shape(chan)
+    triples = [(u, d, m) for u in range(U) for d in range(D) for m in range(M)
+               if assoc[u, d] and chan[u, d, m]]
+    n = len(triples)
+    users = sorted({u for u, _, _ in triples})
+    den = np.zeros((n, n))
+    agg = np.zeros((len(users), n))
+    cap_mat = np.zeros((D, n))
+    for r, (u, d, m) in enumerate(triples):
+        for v, (u2, d2, m2) in enumerate(triples):
+            if m2 == m and u2 != u:
+                den[r, v] = gains[u, d2]
+        agg[users.index(u), r] = 1.0
+        cap_mat[d, r] = 1.0
+    return {
+        "tu": np.array([t[0] for t in triples], dtype=int),
+        "td": np.array([t[1] for t in triples], dtype=int),
+        "tm": np.array([t[2] for t in triples], dtype=int),
+        "g_own": np.array([gains[u, d] for u, d, _ in triples]),
+        "den": den,
+        "agg": agg,
+        "cap_mat": cap_mat,
+        "users": np.array(users, dtype=int),
+    }
 
 
 def draw_tight_instance(seed, rcp_cls, solve, max_power=1.0, noise=1e-7):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import draw_tight_instance, grid_oracle, interference_term, random_binaries
+from _oracles import (
+    draw_tight_instance,
+    grid_oracle,
+    interference_term,
+    loop_struct,
+    random_binaries,
+)
 from dronegrid import (
     Allocation,
     BatteryParams,
@@ -22,7 +28,7 @@ from dronegrid import (
     solve_power_given_binaries,
     user_rates,
 )
-from dronegrid.assign_power import _build_struct, coupling_admits
+from dronegrid.assign_power import _build_struct, _probe_start, coupling_admits
 
 NOISE = 1e-10
 
@@ -82,6 +88,83 @@ def test_packed_rates_equal_channel_model():
         x = rng.uniform(0.0, 1.0, st.n)
         expect = user_rates(st.scatter(x), gains, NOISE)[st.users]
         np.testing.assert_allclose(st.user_rates(x), expect, rtol=1e-12, atol=0)
+
+
+def test_packed_layout_matches_loop_construction():
+    # the (u, d, m) order of the triples is SLSQP's variable order, which
+    # the byte-identical traces rest on
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(100):
+        U, D, M = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        gains = rng.uniform(1e-8, 1e-6, (U, D))
+        assoc, chan = random_binaries(rng, U, D, M)
+        chan[rng.random(U) < 0.2] = 0  # some users go unserved
+        cases.append((assoc, chan, gains))
+    cases.append((assoc, np.zeros_like(chan), gains))  # nobody holds a subchannel
+    for assoc, chan, gains in cases:
+        st = _build_struct(assoc, chan, gains, NOISE)
+        for name, want in loop_struct(assoc, chan, gains).items():
+            got = getattr(st, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        x = rng.uniform(0.0, 1.0, st.n)
+        assert np.array_equal(st.pack(st.scatter(x)), x)
+        full = rng.uniform(0.0, 1.0, st.shape)
+        back = st.scatter(st.pack(full))
+        held = (assoc[:, :, None] != 0) & (chan != 0)
+        assert np.array_equal(back[held], full[held]) and not back[~held].any()
+    assert st.n == 0
+
+
+def _allclose_probe(st, rcp, cfg):
+    """The feasibility probe with np.allclose as its stopping rule and the
+    violators of a breached cap named drone by drone."""
+    need = st.agg.T @ (2.0 ** (rcp.rate_floor / st.agg.sum(axis=1)) - 1.0)
+    x = np.zeros(st.n)
+    for _ in range(cfg.probe_iters):
+        x_new = need * (st.den @ x + st.noise) / st.g_own
+        if np.allclose(x_new, x, rtol=1e-12, atol=0.0):
+            x = x_new
+            break
+        x = x_new
+        if np.any(x > rcp.max_power * 1e3):
+            break
+    box_bad = x > rcp.max_power
+    cap_bad = st.cap_mat @ x > rcp.max_power
+    violators = set(st.tu[box_bad].tolist())
+    for d in np.nonzero(cap_bad)[0]:
+        violators.update(st.tu[st.td == d].tolist())
+    return x, not box_bad.any() and not cap_bad.any(), sorted(violators)
+
+
+def test_probe_stopping_rule_matches_allclose():
+    cfg = SolverConfig()
+    rng = np.random.default_rng(42)
+    cases = []
+    for _ in range(100):
+        U, D, M = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        gains = rng.uniform(1e-9, 1e-6, (U, D))
+        assoc, chan = random_binaries(rng, U, D, M)
+        rcp = RateConstraintParams(rate_floor=float(rng.uniform(0.5, 12.0)), subchannels=M)
+        cases.append((assoc, chan, gains, rcp))
+    # user 0 alone on drone 0 needs about 2 W (box breach); users 1 and 2
+    # share drone 1 at about 0.6 W each (cap breach, each within the box)
+    assoc = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.int8)
+    chan = np.zeros((3, 2, 2), dtype=np.int8)
+    chan[0, 0, 0] = chan[1, 1, 0] = chan[2, 1, 1] = 1
+    gains = np.array([[0.5e-10, 1e-12], [1e-12, 1e-10 / 0.6], [1e-12, 1e-10 / 0.6]])
+    cases.append((assoc, chan, gains, RateConstraintParams(rate_floor=1.0, subchannels=2)))
+    outcomes = set()
+    for assoc, chan, gains, rcp in cases:
+        st = _build_struct(assoc, chan, gains, NOISE)
+        x, feasible, violators = _probe_start(st, rcp, cfg)
+        x_ref, feasible_ref, violators_ref = _allclose_probe(st, rcp, cfg)
+        assert np.array_equal(x, x_ref)
+        assert feasible == feasible_ref and list(violators) == violators_ref
+        outcomes.add(feasible)
+    assert outcomes == {True, False}
+    assert x[0] > 1.0 and x[1] < 1.0 and x[2] < 1.0
+    assert violators == [0, 1, 2]
 
 
 def test_linearized_set_equals_product_set():
