@@ -14,6 +14,20 @@ a reference point, which upper-bounds it everywhere (the log is concave),
 so each convexified problem is conservative: any feasible point of the
 approximation meets the true rate floors. Re-anchoring at each solution
 gives a non-increasing objective sequence.
+
+Each convexified problem (minimise the summed power subject to the
+surrogate rate floors, the per-drone caps and nonnegative powers) is
+solved in numpy by a log-barrier interior-point method (Boyd &
+Vandenberghe, Convex Optimization, section 11.3): damped Newton steps with
+the exact Hessian centre the barrier problem for a growing weight t, and
+the solve stops once the centred point's duality gap m/t (m barrier
+terms) is within a relative 1e-7 of its objective. That gap certifies the
+answer, and the answer is strictly interior, so it clears every surrogate
+floor and cap. An anchor that is not strictly feasible first goes through
+a phase I that minimises the largest rate shortfall; phase I either finds
+an interior point or proves, by the same gap bound, that none exists.
+Later rounds of one SCA run start from a point on the previous round's
+central path rather than from its final, nearly active answer.
 """
 
 from __future__ import annotations
@@ -23,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 LN2 = math.log(2.0)
 
@@ -59,7 +72,7 @@ class SolverConfig:
     init_power: float = 0.1
     sca_tol: float = 1e-4
     max_sca_iters: int = 50
-    inner_tol: float = 1e-6
+    inner_tol: float = 1e-6  # unused: the barrier certifies its own answers
     swap_passes: int = 1
     exhaustive_cap: int = 100
     probe_iters: int = 80
@@ -69,7 +82,15 @@ class SolverConfig:
 
 @dataclass
 class ScaState:
-    """Trace of one successive-convex-approximation run."""
+    """Trace of one successive-convex-approximation run.
+
+    A round is one convexified subproblem, anchored at the previous
+    round's powers and solved by the log-barrier method (phase I first
+    when the anchor is not strictly feasible). iteration counts the rounds
+    run, including a failed one that sent the loop to the feasibility
+    probe and one whose answer was rejected; objective_trace holds the
+    summed power of every accepted round.
+    """
 
     iteration: int
     objective_trace: list = field(default_factory=list)
@@ -172,13 +193,14 @@ class _Struct:
     Active triple r is user tu[r] on drone td[r], subchannel tm[r]; its own
     power is variable r. The triples run in lexicographic (u, d, m) order,
     the order np.nonzero walks the (U, D, M) mask in. That order is the
-    variable order SLSQP sees, and SLSQP's iterates (hence the traces)
-    depend on it, so it must not change. den[r, v] is the gain with which
-    variable v lands as interference in triple r's subchannel (zero for v
-    belonging to the same user or another subchannel), g_own[r] the direct
-    gain. Row k of agg, the per-user summing matrix, sums the triples of
-    user users[k]; row d of cap_mat sums the triples on drone d. noise is
-    the noise power per subchannel, watts.
+    solver's variable order, and the rounding of its sums (hence the last
+    digits of the traces) depends on it, so it must not change. den[r, v]
+    is the gain with which variable v lands as interference in triple r's
+    subchannel (zero for v belonging to the same user or another
+    subchannel), g_own[r] the direct gain. Row k of agg, the per-user
+    summing matrix, sums the triples of user users[k]; row d of cap_mat
+    sums the triples on drone d. noise is the noise power per subchannel,
+    watts.
     """
 
     tu: np.ndarray
@@ -251,45 +273,259 @@ def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise_power: floa
     return lin @ st.pack(power) + base
 
 
-def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig):
-    """Solve one convexified problem anchored at y. Returns (x, ok)."""
-    n = st.n
-    noise = st.noise
-    lin, base = st.interference_bound(y)  # lin: per-user gradient of the surrogate
+# Constants of the log-barrier method that solves each convexified
+# subproblem (Boyd & Vandenberghe, Convex Optimization, section 11.3).
+_GROWTH = 20.0       # factor by which the barrier weight t grows per centring
+_GAP_REL = 1e-7      # certified duality gap at exit, relative to the objective
+_LIFT = 0.1          # anchor powers below _LIFT / t are raised to it
+_CENTRED = 1e-5      # a centring ends once half the squared Newton decrement is below this
+_ROUGH = 0.5         # the same bound for centrings that certify nothing
+_ARMIJO = 0.01       # sufficient-decrease fraction of the backtracking line search
+_MAX_NEWTON = 100    # Newton steps per centring
+_MAX_ROUNDS = 40     # centrings per phase
+
+
+class _Barrier:
+    """Log barrier of one convexified subproblem.
+
+    Phase II minimises 1'x subject to the surrogate rate slacks
+    f_k(x) = agg_k log2(A x + N) - lin_k x - const_k > 0, with
+    A = den + diag(g_own), the per-drone caps max_power - cap_mat x > 0 and
+    x > 0. Phase I (shift) appends a variable s, adds it to every rate
+    slack and minimises s alone. Points are z = x or z = (x, s).
+    """
+
+    def __init__(self, st: _Struct, lin, const, max_power: float, shift: bool):
+        self.st, self.lin, self.const, self.pmax = st, lin, const, max_power
+        self.shift = shift
+        self.a_mat = st.den + np.diag(st.g_own)
+        self.row = np.searchsorted(st.users, st.tu)  # each variable's user row
+        n = st.n
+        self.cost = np.zeros(n + 1) if shift else np.ones(n)
+        if shift:
+            self.cost[n] = 1.0
+        K = st.agg.shape[0]
+        self.m = K + st.cap_mat.shape[0] + n  # barrier terms
+        # the augmented Newton system (with a view of its diagonal), its
+        # scaling, right-hand sides and B's stacked factors, refilled every step
+        N = self.cost.size
+        self.aug = np.zeros((N + K, N + K))
+        self.aug_diag = self.aug.reshape(-1)[:: N + K + 1]
+        self.rhs = np.zeros((N + K, 2))
+        self.scale = np.ones(N + K)
+        self.factors = np.zeros((n + st.cap_mat.shape[0], n))
+
+    def slacks(self, z):
+        """(num, f, g): received power per variable, rate and cap slacks."""
+        st = self.st
+        x = z[: st.n]
+        num = self.a_mat @ x + st.noise
+        f = st.agg @ np.log2(num) - self.lin @ x - self.const
+        if self.shift:
+            f = f + z[-1]
+        return num, f, self.pmax - st.cap_mat @ x
+
+    def inside(self, z):
+        """slacks(z) when z is strictly feasible, else None."""
+        if z[: self.st.n].min() <= 0:
+            return None
+        num, f, g = self.slacks(z)
+        return (num, f, g) if f.min() > 0 and g.min() > 0 else None
+
+    def jacobian(self, num):
+        """Gradient of each rate slack, one row per user."""
+        st = self.st
+        jac = (st.agg / (LN2 * num)) @ self.a_mat - self.lin
+        if self.shift:
+            jac = np.hstack([jac, np.ones((jac.shape[0], 1))])
+        return jac
+
+    def newton(self, z, num, f, g, t):
+        """Gradient of t cost'z + barrier, the Newton step and H^-1 cost.
+
+        The Hessian is exact: H = J'diag(1/f^2)J + B with
+        B = A'diag(w)A + cap_mat'diag(1/g^2)cap_mat + diag(1/x^2) and
+        w_r = 1/(ln2 num_r^2 f_k) for the user k that owns variable r.
+        Near the optimum the rate slacks f are tiny and the rank-K first
+        term swamps B in floating point, so H is never formed: the step
+        solves the equivalent augmented system
+        [[B, J'], [J, -diag(f^2)]] (step, v) = (-grad, 0),
+        with B's rows and columns scaled to a unit diagonal.
+        """
+        st, n = self.st, self.st.n
+        x = z[:n]
+        jac = self.jacobian(num)
+        inv_g = 1.0 / g
+        grad = t * self.cost - (1.0 / f) @ jac
+        grad[:n] += inv_g @ st.cap_mat - 1.0 / x
+        N = self.cost.size
+        factors = self.factors  # B - diag(1/x^2) = factors' factors
+        np.multiply(self.a_mat, np.sqrt(1.0 / (LN2 * num * num * f[self.row]))[:, None],
+                    out=factors[:n])
+        np.multiply(st.cap_mat, inv_g[:, None], out=factors[n:])
+        aug, diag = self.aug, self.aug_diag
+        np.matmul(factors.T, factors, out=aug[:n, :n])
+        diag[:n] += 1.0 / (x * x)
+        aug[:N, N:] = jac.T
+        aug[N:, :N] = jac
+        diag[N:] = -f * f
+        d = self.scale
+        d[:n] = 1.0 / np.sqrt(diag[:n])
+        rhs = self.rhs
+        rhs[:N, 0] = -grad
+        rhs[:N, 1] = self.cost
+        rhs[:N] *= d[:N, None]
+        sol = np.linalg.solve(aug * np.outer(d, d), rhs)[:N] * d[:N, None]
+        return grad, sol[:, 0], sol[:, 1]
+
+    def center(self, z, t, tol):
+        """Damped Newton on t cost'z + barrier from the interior point z.
+
+        Returns (z, H^-1 cost at z, centred). A full step that fails the
+        line search once the decrement is small means rounding, not
+        distance, limits progress; that point counts as centred.
+        """
+        n = self.st.n
+        num, f, g = self.slacks(z)
+        for _ in range(_MAX_NEWTON + 1):
+            try:
+                grad, step, u = self.newton(z, num, f, g, t)
+            except np.linalg.LinAlgError:
+                return z, None, False
+            dec2 = -grad @ step
+            if not dec2 > 2 * tol:
+                return z, u, np.isfinite(dec2)
+            # longest step that keeps the powers and caps positive
+            dx = step[:n]
+            load = self.st.cap_mat @ dx
+            shrink, grow = dx < 0, load > 0
+            reach = np.concatenate([-z[:n][shrink] / dx[shrink], g[grow] / load[grow]])
+            s = min(1.0, 0.99 * reach.min()) if reach.size else 1.0
+            while True:
+                z_new = z + s * step
+                new = self.inside(z_new)
+                if new is not None:
+                    num_new, f_new, g_new = new
+                    # change in the barrier objective, summed as log ratios
+                    change = (t * s * (self.cost @ step) - np.log(f_new / f).sum()
+                              - np.log(g_new / g).sum() - np.log(z_new[:n] / z[:n]).sum())
+                    if change <= -_ARMIJO * s * dec2:
+                        break
+                if s == 1.0 and dec2 < 1e-2:
+                    return z, u, True
+                s *= 0.5
+                if s < 1e-12:
+                    return z, u, False
+            z, num, f, g = z_new, num_new, f_new, g_new
+        return z, u, False
+
+    def run(self, z, t, done, trail=None):
+        """Follow the central path from z at t until done(z, t) decides.
+
+        Returns (z, verdict); verdict is False when a centring fails.
+        Between centrings the point takes the predictor step
+        -(1 - 1/growth) t H^-1 cost, the path's first-order move in 1/t,
+        shortened until it stays interior. Each roughly centred (t, z) is
+        appended to trail when one is given.
+        """
+        for _ in range(_MAX_ROUNDS):
+            z, u, centred = self.center(z, t, _ROUGH)
+            if not centred:
+                return z, False
+            if trail is not None:
+                trail.append((t, z))
+            if done(z, t) is not None:
+                # a verdict is only as good as the centring behind it
+                z, u, centred = self.center(z, t, _CENTRED)
+                if not centred:
+                    return z, False
+                verdict = done(z, t)
+                if verdict is not None:
+                    return z, verdict
+            step = -(1.0 - 1.0 / _GROWTH) * t * u
+            for _ in range(10):
+                if self.inside(z + step) is not None:
+                    z = z + step
+                    break
+                step *= 0.5
+            t *= _GROWTH
+        return z, False
+
+
+def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, gap: float = 1.0,
+                trail: list | None = None):
+    """Solve one convexified problem anchored at y. Returns (x, ok).
+
+    Minimises the summed power subject to the surrogate rate floors (the
+    interference term replaced by its tangent at y), the per-drone caps
+    and x >= 0, with the log-barrier method of Boyd & Vandenberghe
+    (Convex Optimization, section 11.3): damped Newton centring with the
+    exact Hessian, then t grows by _GROWTH until the centred point's
+    duality gap m/t, which bounds its distance to the optimum, is within
+    _GAP_REL of its objective. The result is strictly interior, so it
+    clears every surrogate floor and cap. ok is False when phase I proves
+    that no point clears every floor, or when a centring fails and the
+    answer is uncertified.
+
+    gap is the relative improvement expected over y's objective (the SCA
+    loop passes its last one); the first centring's t is m / (gap 1'y).
+    trail carries the central path from one SCA round to the next: on
+    entry it holds the previous round's centred points (t, z), and the
+    first centring starts from the one with the largest t up to that
+    first t which is strictly feasible here, instead of from y, whose
+    slacks are tiny. On exit it holds this solve's points.
+    """
+    lin, base = st.interference_bound(y)
     const = base + rcp.rate_floor
+    bar = _Barrier(st, lin, const, rcp.max_power, shift=False)
+    previous = list(trail or ())
+    if trail is not None:
+        trail.clear()
+    x = y
+    if bar.inside(y) is None:
+        x, ok = _phase_one(st, lin, const, rcp.max_power, y)
+        if not ok:
+            return x, False
+        gap, previous = 1.0, []  # far from the optimum: start on a wide gap
 
-    def rate_slack(x):
-        num = st.den @ x + st.g_own * x + noise
-        return st.agg @ np.log2(num) - lin @ x - const
+    t = bar.m / (gap * x.sum())
+    earlier = [(tp, zp) for tp, zp in previous if tp <= t and bar.inside(zp) is not None]
+    if earlier:
+        t, x = max(earlier, key=lambda point: point[0])
+    else:
+        lifted = np.maximum(x, _LIFT / t)
+        if bar.inside(lifted) is not None:
+            x = lifted  # near-zero powers would need many halvings to re-centre
 
-    def rate_jac(x):
-        num = st.den @ x + st.g_own * x + noise
-        inv = 1.0 / (LN2 * num)
-        j1 = st.agg @ ((st.den + np.diag(st.g_own)) * inv[:, None])
-        return j1 - lin
+    def certified(x, t):
+        return True if bar.m / t <= _GAP_REL * x.sum() else None
 
-    def cap_slack(x):
-        return rcp.max_power - st.cap_mat @ x
+    return bar.run(x, t, certified, trail)
 
-    res = minimize(
-        lambda x: float(np.sum(x)),
-        y,
-        jac=lambda x: np.ones(n),
-        bounds=[(0.0, rcp.max_power)] * n,
-        constraints=[
-            {"type": "ineq", "fun": rate_slack, "jac": rate_jac},
-            {"type": "ineq", "fun": cap_slack, "jac": lambda x: -st.cap_mat},
-        ],
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    x = np.clip(res.x, 0.0, rcp.max_power)
-    tol = cfg.inner_tol
-    ok = (
-        np.all(rate_slack(x) >= -tol)
-        and np.all(cap_slack(x) >= -tol * rcp.max_power)
-    )
-    return x, ok
+
+def _phase_one(st: _Struct, lin, const, max_power: float, y: np.ndarray):
+    """A strictly feasible point of the subproblem, from an anchor y that is not.
+
+    Minimises s subject to f_k(x) + s > 0, the caps and x > 0 with the
+    phase II Newton code and one extra variable, starting from y pulled
+    strictly inside the caps and x > 0. Returns (x, True) at the first
+    centred point with s < 0, and (x, False) once the gap bound
+    s - m/t > 0 proves that no point clears every floor, or when a
+    centring fails.
+    """
+    x = np.maximum(y, 1e-12 * max_power)
+    x *= np.minimum(1.0, 0.99 * max_power / (st.cap_mat @ x)[st.td])
+    p1 = _Barrier(st, lin, const, max_power, shift=True)
+    _, f, _ = p1.slacks(np.append(x, 0.0))
+    z = np.append(x, 1.0 - f.min())
+
+    def settled(z, t):
+        if z[-1] < 0:
+            return True
+        return False if z[-1] - p1.m / t > 0 else None
+
+    z, ok = p1.run(z, 1.0, settled)
+    return z[: st.n], ok
 
 
 def _probe_start(st: _Struct, rcp: RateConstraintParams, cfg: SolverConfig):
@@ -384,10 +620,12 @@ def solve_power_given_binaries(
     accepted = None
     obj_prev = math.inf
     probed = False
+    gap = 1.0
+    trail = []
     it = 0
     while it < cfg.max_sca_iters:
         it += 1
-        x, ok = _subproblem(st, y, rcp, cfg)
+        x, ok = _subproblem(st, y, rcp, gap, trail)
         if not ok:
             if not probed:
                 probed = True
@@ -409,6 +647,7 @@ def solve_power_given_binaries(
         trace.append(obj)
         obj_prev = obj
         y = x
+        gap = min(1.0, improvement / max(obj, 1e-300))
         if improvement < cfg.sca_tol * max(obj, 1e-300):
             break
 
@@ -483,11 +722,13 @@ def _enumerate_binaries(U: int, D: int, M: int):
 
 
 def _objective_for(assoc, chan, gains, rcp, cfg, noise_power):
+    """(objective, (power, state)) of the power solve; (None, None) when
+    the binaries are rate-infeasible."""
     try:
-        power, state = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
     except RateInfeasibleError:
         return None, None
-    return state.objective, power
+    return solved[1].objective, solved
 
 
 def _probe_objective(assoc, chan, gains, rcp, cfg, noise_power):
@@ -540,15 +781,18 @@ def assign_binaries(
 
     Small instances (option count within cfg.exhaustive_cap) are solved by
     enumeration, larger ones by the greedy + local-search path. Returns
-    (assoc, chan). Raises RateInfeasibleError if no assignment admits a
-    feasible power profile, and ValueError when U > D*M (some user could
-    never hold a subchannel).
+    (assoc, chan, solved): solved is the (power, state) pair that
+    solve_power_given_binaries gave for the winning binaries, or None when
+    no power solve ran (no users, or cfg.swap_passes <= 0 on the greedy
+    path). Raises RateInfeasibleError if no assignment admits a feasible
+    power profile, and ValueError when U > D*M (some user could never hold
+    a subchannel).
     """
     gains = np.asarray(gains, dtype=float)
     U, D = gains.shape
     M = rcp.subchannels
     if U == 0:
-        return np.zeros((0, D), dtype=np.int8), np.zeros((0, D, M), dtype=np.int8)
+        return np.zeros((0, D), dtype=np.int8), np.zeros((0, D, M), dtype=np.int8), None
     if U > D * M:
         raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
 
@@ -557,25 +801,25 @@ def assign_binaries(
         best = None
         infeasible_users = set()
         for assoc, chan in _enumerate_binaries(U, D, M):
-            obj, _ = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+            obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
             if obj is None:
                 continue
             if best is None or obj < best[0]:
-                best = (obj, assoc, chan)
+                best = (obj, assoc, chan, solved)
         if best is None:
             try:
                 solve_power_given_binaries(*_greedy_binaries(gains, rcp), gains, rcp, cfg, noise_power)
             except RateInfeasibleError as err:
                 infeasible_users.update(err.users)
             raise RateInfeasibleError(infeasible_users or range(U), "every assignment is power-infeasible")
-        return best[1], best[2]
+        return best[1:]
 
     assoc, chan = _greedy_binaries(gains, rcp)
     if cfg.swap_passes <= 0:
         # no local search: skip the baseline solve here, the caller's power
         # solve performs the same feasibility check on these binaries
-        return assoc, chan
-    obj, _ = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+        return assoc, chan, None
+    obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
     feasible_found = obj is not None
     if obj is None:
         obj = math.inf  # let the local search try to rescue the corner
@@ -592,18 +836,18 @@ def assign_binaries(
         for score, _, a2, c2 in scored[: max(cfg.search_budget, 1)]:
             if not np.isfinite(score) and feasible_found:
                 break
-            obj2, _ = _objective_for(a2, c2, gains, rcp, cfg, noise_power)
+            obj2, solved2 = _objective_for(a2, c2, gains, rcp, cfg, noise_power)
             if obj2 is not None and obj2 < obj * (1 - 1e-9):
                 if best_cand is None or obj2 < best_cand[0]:
-                    best_cand = (obj2, a2, c2)
+                    best_cand = (obj2, a2, c2, solved2)
         if best_cand is None:
             break
-        obj, assoc, chan = best_cand
+        obj, assoc, chan, solved = best_cand
         feasible_found = True
     if not feasible_found:
         # report through the power solver so the error names the users
-        solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
-    return assoc, chan
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+    return assoc, chan, solved
 
 
 def solve_allocation(
@@ -616,9 +860,13 @@ def solve_allocation(
 
     Returns (Allocation, ScaState). Charging indicators are left cleared;
     the scheduler fills them from battery state, not from the radio problem.
+    The powers are the ones assign_binaries solved for its winner; they
+    are solved here only when it solved none.
     """
-    assoc, chan = assign_binaries(gains, rcp, cfg, noise_power)
-    power, state = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+    assoc, chan, solved = assign_binaries(gains, rcp, cfg, noise_power)
+    if solved is None:
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+    power, state = solved
     alloc = Allocation(assoc, chan, power, np.zeros(gains.shape[1], dtype=np.int8))
     return alloc, state
 

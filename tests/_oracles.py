@@ -11,7 +11,10 @@ The surrogate checks share `random_binaries` and `interference_term`, the
 true interference log-term taken from the channel model's interference
 table rather than from the solver's packed view. `loop_struct` builds the
 solver's packed view of one instance with explicit loops, as the referee
-of its array construction.
+of its array construction. `slsqp_subproblem` solves one convexified
+power subproblem with scipy's SLSQP, as the referee of the package's
+log-barrier solver; it is the only user of scipy and reads the packed
+view it is given.
 """
 
 import itertools
@@ -159,3 +162,49 @@ def draw_tight_instance(seed, rcp_cls, solve, max_power=1.0, noise=1e-7):
             continue
         if state.objective >= 0.25:
             return gains, rcp, state.objective, alloc
+
+
+def slsqp_subproblem(st, y, rcp, inner_tol=1e-6):
+    """One convexified subproblem anchored at y, solved with SLSQP.
+
+    Minimises the summed power over the packed variables subject to the
+    surrogate rate floors (the interference term replaced by its tangent
+    at y), the per-drone caps and the box [0, max_power]. Returns (x, ok):
+    the clipped iterate and whether it meets every surrogate floor within
+    inner_tol and every cap within inner_tol * max_power.
+    """
+    from scipy.optimize import minimize
+
+    n = st.n
+    ln2 = np.log(2.0)
+    lin, base = st.interference_bound(y)
+    const = base + rcp.rate_floor
+
+    def rate_slack(x):
+        num = st.den @ x + st.g_own * x + st.noise
+        return st.agg @ np.log2(num) - lin @ x - const
+
+    def rate_jac(x):
+        num = st.den @ x + st.g_own * x + st.noise
+        inv = 1.0 / (ln2 * num)
+        return st.agg @ ((st.den + np.diag(st.g_own)) * inv[:, None]) - lin
+
+    def cap_slack(x):
+        return rcp.max_power - st.cap_mat @ x
+
+    res = minimize(
+        lambda x: float(np.sum(x)),
+        y,
+        jac=lambda x: np.ones(n),
+        bounds=[(0.0, rcp.max_power)] * n,
+        constraints=[
+            {"type": "ineq", "fun": rate_slack, "jac": rate_jac},
+            {"type": "ineq", "fun": cap_slack, "jac": lambda x: -st.cap_mat},
+        ],
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    x = np.clip(res.x, 0.0, rcp.max_power)
+    ok = (np.all(rate_slack(x) >= -inner_tol)
+          and np.all(cap_slack(x) >= -inner_tol * rcp.max_power))
+    return x, bool(ok)

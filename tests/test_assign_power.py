@@ -284,7 +284,7 @@ def test_assign_binaries_feasible_shape():
     rng = np.random.default_rng(37)
     gains = rng.uniform(1e-8, 1e-6, (5, 2))
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
-    assoc, chan = assign_binaries(gains, rcp, SolverConfig(), NOISE)
+    assoc, chan, _ = assign_binaries(gains, rcp, SolverConfig(), NOISE)
     assert assoc.shape == (5, 2)
     assert chan.shape == (5, 2, 4)
     np.testing.assert_array_equal(assoc.sum(axis=1), 1)
@@ -295,6 +295,36 @@ def test_assign_binaries_feasible_shape():
     assert (chan.sum(axis=0) <= 1).all()
 
 
+def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
+    # assign_binaries hands back the powers it solved for its winner, so
+    # solve_allocation adds no power solve of its own
+    from dronegrid import assign_power
+
+    calls = []
+    real = assign_power.solve_power_given_binaries
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
+    rng = np.random.default_rng(43)
+    gains = rng.uniform(1e-8, 1e-6, (5, 2))
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
+    _, _, (power, state) = assign_binaries(gains, rcp, SolverConfig(), NOISE)
+    searched = len(calls)
+    alloc, sca = solve_allocation(gains, rcp, SolverConfig(), NOISE)
+    assert len(calls) == 2 * searched
+    np.testing.assert_array_equal(alloc.power, power)
+    assert sca.objective_trace == state.objective_trace
+    # without the local search nothing is solved there; the caller solves once
+    greedy_only = SolverConfig(exhaustive_cap=0, swap_passes=0)
+    assert assign_binaries(gains, rcp, greedy_only, NOISE)[2] is None
+    calls.clear()
+    solve_allocation(gains, rcp, greedy_only, NOISE)
+    assert len(calls) == 1
+
+
 def test_greedy_prefers_the_stronger_drone():
     # two tight clusters, one per drone, forced onto the greedy path
     cp = ChannelParams()
@@ -303,7 +333,7 @@ def test_greedy_prefers_the_stronger_drone():
     gains = gain_table(drones, users, cp)
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
     cfg = SolverConfig(exhaustive_cap=0, swap_passes=0)
-    assoc, _ = assign_binaries(gains, rcp, cfg, NOISE)
+    assoc, _, _ = assign_binaries(gains, rcp, cfg, NOISE)
     np.testing.assert_array_equal(assoc[:, 0], [1, 1, 0, 0])
     np.testing.assert_array_equal(assoc[:, 1], [0, 0, 1, 1])
 
