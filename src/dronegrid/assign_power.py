@@ -27,7 +27,9 @@ floor and cap. An anchor that is not strictly feasible first goes through
 a phase I that minimises the largest rate shortfall; phase I either finds
 an interior point or proves, by the same gap bound, that none exists.
 Later rounds of one SCA run start from a point on the previous round's
-central path rather than from its final, nearly active answer.
+central path rather than from its final, nearly active answer. The first
+anchor is tilted by a relative 1e-6 across subchannels, so that exact
+solves do not keep interchangeable subchannels alike (see _TILT).
 """
 
 from __future__ import annotations
@@ -582,6 +584,14 @@ def _polish(x: np.ndarray, st: _Struct, rcp: RateConstraintParams) -> np.ndarray
     return x * t_hi
 
 
+# Relative tilt of the SCA's first anchor across subchannels. _deal_channels
+# makes subchannels with the same co-channel users interchangeable, an exact
+# inner solve maps an anchor that treats them alike to an answer that does
+# too, and the SCA can then end on such a symmetric stationary point although
+# concentrating each user's power on fewer of them needs less power.
+_TILT = 1e-6
+
+
 def solve_power_given_binaries(
     assoc: np.ndarray,
     chan: np.ndarray,
@@ -611,10 +621,12 @@ def solve_power_given_binaries(
         return np.zeros((U, D, M)), state
 
     # reference point: flat init_power, shrunk where a drone's triple count
-    # would already break its cap
+    # would already break its cap, and tilted across subchannels by a
+    # relative _TILT (see there)
     base = min(cfg.init_power, rcp.max_power)
     loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
-    y = np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
+    tilt = 1.0 + _TILT * (st.tm + 1) / M
+    y = tilt * np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
 
     trace = []
     accepted = None
@@ -632,7 +644,7 @@ def solve_power_given_binaries(
                 px, feas, violators = _probe_start(st, rcp, cfg)
                 if not feas:
                     raise RateInfeasibleError(violators, "power demand exceeds the drone budget")
-                y = px
+                y = tilt * px
                 continue
             if accepted is None:
                 slack = st.user_rates(x) - rcp.rate_floor

@@ -159,3 +159,21 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import dronegrid, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+def test_tilted_first_anchor_breaks_subchannel_symmetry(monkeypatch):
+    # five users on four drones with four subchannels each: _deal_channels
+    # leaves subchannels that meet the same co-channel users interchangeable.
+    # From a flat anchor the exact solves keep treating them alike and the
+    # SCA stalls on a symmetric stationary point; the tilt lets it put each
+    # user's power where it meets less interference
+    from dronegrid import assign_power
+
+    rng = np.random.default_rng(9)
+    gains = rng.uniform(1e-9, 1e-6, (5, 4))
+    rcp = RateConstraintParams(rate_floor=2.0, subchannels=4)
+    assoc, chan = assign_power._greedy_binaries(gains, rcp)
+    tilted, _ = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), 1e-8)
+    monkeypatch.setattr(assign_power, "_TILT", 0.0)
+    flat, _ = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), 1e-8)
+    assert tilted.sum() < 0.5 * flat.sum()
