@@ -26,10 +26,9 @@ answer, and the answer is strictly interior, so it clears every surrogate
 floor and cap. An anchor that is not strictly feasible first goes through
 a phase I that minimises the largest rate shortfall; phase I either finds
 an interior point or proves, by the same gap bound, that none exists.
-Later rounds of one SCA run start from a point on the previous round's
-central path rather than from its final, nearly active answer. The first
-anchor is tilted by a relative 1e-6 across subchannels, so that exact
-solves do not keep interchangeable subchannels alike (see _TILT).
+The first anchor is tilted by a relative 1e-6 across subchannels, so
+that exact solves do not keep interchangeable subchannels alike (see
+_TILT).
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ class SolverConfig:
     init_power: float = 0.1
     sca_tol: float = 1e-4
     max_sca_iters: int = 50
-    inner_tol: float = 1e-6  # unused: the barrier certifies its own answers
     swap_passes: int = 1
     exhaustive_cap: int = 100
     probe_iters: int = 80
@@ -278,7 +276,12 @@ def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise_power: floa
 # Constants of the log-barrier method that solves each convexified
 # subproblem (Boyd & Vandenberghe, Convex Optimization, section 11.3).
 _GROWTH = 20.0       # factor by which the barrier weight t grows per centring
-_GAP_REL = 1e-7      # certified duality gap at exit, relative to the objective
+# The certified gap is relative to the objective. 1e-7 keeps an inexact
+# round 1e3 below the SCA's own stopping test (sca_tol, 1e-4 by default),
+# so inner error can neither end the SCA early nor fake an increase, and
+# 1e2 below a 1e-5 relative agreement with any other exact solver; every
+# twentyfold tightening costs one more centring.
+_GAP_REL = 1e-7
 _LIFT = 0.1          # anchor powers below _LIFT / t are raised to it
 _CENTRED = 1e-5      # a centring ends once half the squared Newton decrement is below this
 _ROUGH = 0.5         # the same bound for centrings that certify nothing
@@ -306,16 +309,7 @@ class _Barrier:
         self.cost = np.zeros(n + 1) if shift else np.ones(n)
         if shift:
             self.cost[n] = 1.0
-        K = st.agg.shape[0]
-        self.m = K + st.cap_mat.shape[0] + n  # barrier terms
-        # the augmented Newton system (with a view of its diagonal), its
-        # scaling, right-hand sides and B's stacked factors, refilled every step
-        N = self.cost.size
-        self.aug = np.zeros((N + K, N + K))
-        self.aug_diag = self.aug.reshape(-1)[:: N + K + 1]
-        self.rhs = np.zeros((N + K, 2))
-        self.scale = np.ones(N + K)
-        self.factors = np.zeros((n + st.cap_mat.shape[0], n))
+        self.m = st.agg.shape[0] + st.cap_mat.shape[0] + n  # barrier terms
 
     def slacks(self, z):
         """(num, f, g): received power per variable, rate and cap slacks."""
@@ -360,32 +354,32 @@ class _Barrier:
         inv_g = 1.0 / g
         grad = t * self.cost - (1.0 / f) @ jac
         grad[:n] += inv_g @ st.cap_mat - 1.0 / x
-        N = self.cost.size
-        factors = self.factors  # B - diag(1/x^2) = factors' factors
-        np.multiply(self.a_mat, np.sqrt(1.0 / (LN2 * num * num * f[self.row]))[:, None],
-                    out=factors[:n])
-        np.multiply(st.cap_mat, inv_g[:, None], out=factors[n:])
-        aug, diag = self.aug, self.aug_diag
-        np.matmul(factors.T, factors, out=aug[:n, :n])
-        diag[:n] += 1.0 / (x * x)
+        # B = rate' rate + caps' caps + diag(1/x^2)
+        rate = self.a_mat * np.sqrt(1.0 / (LN2 * num * num * f[self.row]))[:, None]
+        caps = st.cap_mat * inv_g[:, None]
+        b = rate.T @ rate + caps.T @ caps + np.diag(1.0 / (x * x))
+        N, K = self.cost.size, f.size
+        aug = np.zeros((N + K, N + K))
+        aug[:n, :n] = b
         aug[:N, N:] = jac.T
         aug[N:, :N] = jac
-        diag[N:] = -f * f
-        d = self.scale
-        d[:n] = 1.0 / np.sqrt(diag[:n])
-        rhs = self.rhs
+        aug[N:, N:] = np.diag(-f * f)
+        d = np.ones(N + K)
+        d[:n] = 1.0 / np.sqrt(np.diag(b))
+        rhs = np.zeros((N + K, 2))
         rhs[:N, 0] = -grad
         rhs[:N, 1] = self.cost
-        rhs[:N] *= d[:N, None]
-        sol = np.linalg.solve(aug * np.outer(d, d), rhs)[:N] * d[:N, None]
+        sol = np.linalg.solve(aug * np.outer(d, d), rhs * d[:, None])[:N] * d[:N, None]
         return grad, sol[:, 0], sol[:, 1]
 
     def center(self, z, t, tol):
         """Damped Newton on t cost'z + barrier from the interior point z.
 
-        Returns (z, H^-1 cost at z, centred). A full step that fails the
-        line search once the decrement is small means rounding, not
-        distance, limits progress; that point counts as centred.
+        Returns (z, H^-1 cost at z, centred); centred means half the
+        squared Newton decrement at z is within tol. Once the decrement is
+        small, Newton's method is in its quadratic region and a full step
+        that stays interior is taken even if rounding fails the line
+        search's decrease test; the next decrement decides.
         """
         n = self.st.n
         num, f, g = self.slacks(z)
@@ -413,29 +407,26 @@ class _Barrier:
                               - np.log(g_new / g).sum() - np.log(z_new[:n] / z[:n]).sum())
                     if change <= -_ARMIJO * s * dec2:
                         break
-                if s == 1.0 and dec2 < 1e-2:
-                    return z, u, True
+                if s == 1.0 and dec2 < 1e-2 and new is not None:
+                    break  # quadratic region: rounding, not distance, fails the test
                 s *= 0.5
                 if s < 1e-12:
                     return z, u, False
             z, num, f, g = z_new, num_new, f_new, g_new
         return z, u, False
 
-    def run(self, z, t, done, trail=None):
+    def run(self, z, t, done):
         """Follow the central path from z at t until done(z, t) decides.
 
         Returns (z, verdict); verdict is False when a centring fails.
         Between centrings the point takes the predictor step
         -(1 - 1/growth) t H^-1 cost, the path's first-order move in 1/t,
-        shortened until it stays interior. Each roughly centred (t, z) is
-        appended to trail when one is given.
+        shortened until it stays interior.
         """
         for _ in range(_MAX_ROUNDS):
             z, u, centred = self.center(z, t, _ROUGH)
             if not centred:
                 return z, False
-            if trail is not None:
-                trail.append((t, z))
             if done(z, t) is not None:
                 # a verdict is only as good as the centring behind it
                 z, u, centred = self.center(z, t, _CENTRED)
@@ -454,8 +445,7 @@ class _Barrier:
         return z, False
 
 
-def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, gap: float = 1.0,
-                trail: list | None = None):
+def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, gap: float = 1.0):
     """Solve one convexified problem anchored at y. Returns (x, ok).
 
     Minimises the summed power subject to the surrogate rate floors (the
@@ -470,39 +460,29 @@ def _subproblem(st: _Struct, y: np.ndarray, rcp: RateConstraintParams, gap: floa
     answer is uncertified.
 
     gap is the relative improvement expected over y's objective (the SCA
-    loop passes its last one); the first centring's t is m / (gap 1'y).
-    trail carries the central path from one SCA round to the next: on
-    entry it holds the previous round's centred points (t, z), and the
-    first centring starts from the one with the largest t up to that
-    first t which is strictly feasible here, instead of from y, whose
-    slacks are tiny. On exit it holds this solve's points.
+    loop passes its last one); the first centring's t is m / (gap 1'y),
+    so that its duality gap m/t is of the order of the distance to the
+    optimum (Boyd & Vandenberghe's rule for the initial t).
     """
     lin, base = st.interference_bound(y)
     const = base + rcp.rate_floor
     bar = _Barrier(st, lin, const, rcp.max_power, shift=False)
-    previous = list(trail or ())
-    if trail is not None:
-        trail.clear()
     x = y
     if bar.inside(y) is None:
         x, ok = _phase_one(st, lin, const, rcp.max_power, y)
         if not ok:
             return x, False
-        gap, previous = 1.0, []  # far from the optimum: start on a wide gap
+        gap = 1.0  # far from the optimum: start on a wide gap
 
     t = bar.m / (gap * x.sum())
-    earlier = [(tp, zp) for tp, zp in previous if tp <= t and bar.inside(zp) is not None]
-    if earlier:
-        t, x = max(earlier, key=lambda point: point[0])
-    else:
-        lifted = np.maximum(x, _LIFT / t)
-        if bar.inside(lifted) is not None:
-            x = lifted  # near-zero powers would need many halvings to re-centre
+    lifted = np.maximum(x, _LIFT / t)
+    if bar.inside(lifted) is not None:
+        x = lifted  # near-zero powers would need many halvings to re-centre
 
     def certified(x, t):
         return True if bar.m / t <= _GAP_REL * x.sum() else None
 
-    return bar.run(x, t, certified, trail)
+    return bar.run(x, t, certified)
 
 
 def _phase_one(st: _Struct, lin, const, max_power: float, y: np.ndarray):
@@ -633,11 +613,10 @@ def solve_power_given_binaries(
     obj_prev = math.inf
     probed = False
     gap = 1.0
-    trail = []
     it = 0
     while it < cfg.max_sca_iters:
         it += 1
-        x, ok = _subproblem(st, y, rcp, gap, trail)
+        x, ok = _subproblem(st, y, rcp, gap)
         if not ok:
             if not probed:
                 probed = True

@@ -59,7 +59,7 @@ _SECTIONS = {
     "search": (SearchConfig, {k: (k, 1.0) for k in (
         "particles", "shrink_factor", "max_refines", "init_radius", "tol")}),
     "solver": (SolverConfig, {k: (k, 1.0) for k in (
-        "init_power", "sca_tol", "max_sca_iters", "inner_tol", "swap_passes",
+        "init_power", "sca_tol", "max_sca_iters", "swap_passes",
         "exhaustive_cap", "probe_iters", "polish", "search_budget")}),
 }
 

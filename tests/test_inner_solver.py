@@ -177,3 +177,38 @@ def test_tilted_first_anchor_breaks_subchannel_symmetry(monkeypatch):
     monkeypatch.setattr(assign_power, "_TILT", 0.0)
     flat, _ = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), 1e-8)
     assert tilted.sum() < 0.5 * flat.sum()
+
+
+def test_phase_one_never_rejects_what_slsqp_solves_at_the_boundary():
+    # raise each instance's floor by bisection to the edge of what the
+    # referee can meet, then start phase I from a starved anchor with the
+    # floor 1e-4 below that edge: there an infeasibility verdict resting
+    # on a poorly centred point would be wrong
+    rng = np.random.default_rng(53)
+    checked = 0
+    for _ in range(24):
+        st, y, rcp = _random_instance(rng)
+        y = y * 1e-4
+        # no user can beat its interference-free rate at full power
+        lo, hi = 0.0, (st.agg @ np.log2(1.0 + st.g_own * rcp.max_power / st.noise)).min()
+        for _ in range(9):
+            mid = 0.5 * (lo + hi)
+            trial = RateConstraintParams(rate_floor=mid, subchannels=rcp.subchannels)
+            if slsqp_subproblem(st, y, trial)[1]:
+                lo = mid
+            else:
+                hi = mid
+        if lo == 0.0:
+            continue
+        edge = RateConstraintParams(rate_floor=lo - 1e-4, subchannels=rcp.subchannels)
+        if _surrogate_slack(st, y, edge, y).min() >= 0:
+            continue  # the anchor is feasible, phase I would not run
+        lin, base = st.interference_bound(y)
+        x, interior = _phase_one(st, lin, base + edge.rate_floor, edge.max_power, y)
+        assert interior
+        assert _surrogate_slack(st, y, edge, x).min() > 0
+        x, ok = _subproblem(st, y, edge)
+        assert ok
+        _assert_feasible(st, y, edge, x)
+        checked += 1
+    assert checked >= 15

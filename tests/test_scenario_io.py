@@ -49,7 +49,7 @@ def test_unknown_keys_are_named():
     assert len(err.value.errors) == 2  # both collected in one raise
 
 
-@pytest.mark.parametrize("section, key", [("battery", "big_m"), ("search", "seed")])
+@pytest.mark.parametrize("section, key", [("battery", "big_m"), ("search", "seed"), ("solver", "inner_tol")])
 def test_dropped_keys_fail_by_name(section, key):
     # older files may still carry these keys; they fail through the
     # unknown-key error, which names the key and its section
