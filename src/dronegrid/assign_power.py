@@ -68,15 +68,25 @@ class RateConstraintParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the allocation solver."""
+    """Knobs for the allocation solver.
+
+    init_power: flat first SCA anchor per triple, watts.
+    sca_tol: the SCA stops once a round lowers the summed power by less
+        than this fraction of it.
+    max_sca_iters: cap on SCA rounds per power solve.
+    swap_passes: local-search passes over the greedy assignment.
+    exhaustive_cap: instances with at most this many binary options are
+        enumerated outright.
+    search_budget: full power solves per pass, spent on the candidates
+        that the feasibility probe (_probe_start, one linear solve) ranks
+        lowest.
+    """
 
     init_power: float = 0.1
     sca_tol: float = 1e-4
     max_sca_iters: int = 50
     swap_passes: int = 1
     exhaustive_cap: int = 100
-    probe_iters: int = 80
-    polish: bool = True
     search_budget: int = 6
 
 
@@ -510,58 +520,36 @@ def _phase_one(st: _Struct, lin, const, max_power: float, y: np.ndarray):
     return z[: st.n], ok
 
 
-def _probe_start(st: _Struct, rcp: RateConstraintParams, cfg: SolverConfig):
-    """Fixed-point feasibility probe.
+def _probe_start(st: _Struct, rcp: RateConstraintParams):
+    """Equal-split feasibility probe, solved in closed form.
 
-    Splits each user's floor evenly over its subchannels and repeatedly
-    inverts the SINR requirement under the current interference. The map is
-    monotone from zero, so divergence or a cap/box breach flags the floor
-    as unreachable and names the users that demand the excess power.
+    Splits each user's floor evenly over its subchannels, so triple r needs
+    the SINR need_r under the interference of the others: x = F x + b with
+    F = diag(need/g_own) den >= 0 and b = need * noise / g_own. From zero,
+    the power-control iteration x <- F x + b (Foschini & Miljanic, IEEE TVT
+    1993; Yates, IEEE JSAC 1995) rises monotonically to (I - F)^-1 b when
+    the spectral radius of F is below 1 and diverges otherwise. One linear
+    solve gives that limit, taken as such only under a positivity
+    certificate: x > 0 wherever b > 0 and x == 0 where b == 0 (rate_floor
+    0, where need is 0). By Perron-Frobenius subinvariance a nonnegative
+    x with (I - F) x = b >= 0 exists only when rho(F) <= 1, and x > 0 with
+    F x < x gives rho(F) < 1, so the certificate holds exactly where the
+    iteration converges. When it fails, or the solve is singular, no finite
+    equal split exists: the probe returns x = inf, infeasible, naming every
+    user that holds a triple. Otherwise a box or per-drone cap breach flags
+    the floor as unreachable and names the users that demand the excess.
     """
-    noise = st.noise
-    k_u = st.agg.sum(axis=1)  # subchannels per user
-    per_user_need = 2.0 ** (rcp.rate_floor / k_u) - 1.0
-    need = (st.agg.T @ per_user_need)  # per triple
-    x = np.zeros(st.n)
-    for _ in range(cfg.probe_iters):
-        x_new = need * (st.den @ x + noise) / st.g_own
-        settled = np.all(np.abs(x_new - x) <= 1e-12 * np.abs(x))
-        x = x_new
-        if settled or np.any(x > rcp.max_power * 1e3):
-            break
+    need = st.agg.T @ (2.0 ** (rcp.rate_floor / st.agg.sum(axis=1)) - 1.0)  # per triple
+    b = need * st.noise / st.g_own
+    try:
+        x = np.linalg.solve(np.eye(st.n) - (need / st.g_own)[:, None] * st.den, b)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.where(b > 0, x > 0, x == 0)):
+        return np.full(st.n, np.inf), False, st.users.tolist()
     # a triple is bad above the box or on a drone above its cap
     bad = (x > rcp.max_power) | (st.cap_mat @ x > rcp.max_power)[st.td]
     return x, not bad.any(), np.unique(st.tu[bad]).tolist()
-
-
-def _polish(x: np.ndarray, st: _Struct, rcp: RateConstraintParams) -> np.ndarray:
-    """Scale the profile up minimally until every true rate floor holds.
-
-    Conservativeness of the convexified constraints keeps any deficit at
-    solver-tolerance scale, so the multiplier stays within rounding of 1.
-    """
-    def ok(t):
-        return np.all(st.user_rates(x * t) >= rcp.rate_floor)
-
-    if x.size == 0 or ok(1.0):
-        return x
-    headroom = [rcp.max_power / max(x.max(), 1e-300)]
-    caps = st.cap_mat @ x
-    headroom += [rcp.max_power / c for c in caps if c > 0]
-    t_max = min(headroom)
-    t_hi = 1.0
-    while t_hi < t_max and not ok(t_hi):
-        t_hi = min(t_hi * 1.5, t_max)
-    if not ok(t_hi):
-        return x  # cannot be fixed by scaling; caller's tolerance decides
-    t_lo = 1.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if ok(mid):
-            t_hi = mid
-        else:
-            t_lo = mid
-    return x * t_hi
 
 
 # Relative tilt of the SCA's first anchor across subchannels. _deal_channels
@@ -620,7 +608,7 @@ def solve_power_given_binaries(
         if not ok:
             if not probed:
                 probed = True
-                px, feas, violators = _probe_start(st, rcp, cfg)
+                px, feas, violators = _probe_start(st, rcp)
                 if not feas:
                     raise RateInfeasibleError(violators, "power demand exceeds the drone budget")
                 y = tilt * px
@@ -644,10 +632,6 @@ def solve_power_given_binaries(
 
     if accepted is None:
         raise RateInfeasibleError(list(st.users), "no feasible iterate found")
-    if cfg.polish:
-        # nudge marginal floors back over the line; the trace keeps the
-        # pre-polish optima so its monotone property is untouched
-        accepted = _polish(accepted, st, rcp)
     state = ScaState(it, trace, converged=it < cfg.max_sca_iters)
     return st.scatter(accepted), state
 
@@ -722,12 +706,13 @@ def _objective_for(assoc, chan, gains, rcp, cfg, noise_power):
     return solved[1].objective, solved
 
 
-def _probe_objective(assoc, chan, gains, rcp, cfg, noise_power):
+def _probe_objective(assoc, chan, gains, rcp, noise_power):
     """Cheap stand-in for the full solve, used only to rank neighbourhood
-    candidates: total power of the equal-split fixed point, inf when that
-    point breaches a box or per-drone cap."""
+    candidates: total power of the equal-split fixed point (_probe_start's
+    closed form), inf when the floors admit no such point or it breaches a
+    box or per-drone cap."""
     st = _build_struct(assoc, chan, gains, noise_power)
-    x, feasible, _ = _probe_start(st, rcp, cfg)
+    x, feasible, _ = _probe_start(st, rcp)
     return float(np.sum(x)) if feasible else np.inf
 
 
@@ -821,7 +806,7 @@ def assign_binaries(
         scored = []
         for k, cand in enumerate(_move_swap_candidates(assoc, M)):
             a2, c2 = _apply_candidate(assoc, cand, M)
-            scored.append((_probe_objective(a2, c2, gains, rcp, cfg, noise_power), k, a2, c2))
+            scored.append((_probe_objective(a2, c2, gains, rcp, noise_power), k, a2, c2))
         scored.sort(key=lambda s: (s[0], s[1]))
         best_cand = None
         for score, _, a2, c2 in scored[: max(cfg.search_budget, 1)]:

@@ -204,7 +204,6 @@ def run_simulation(sc: Scenario) -> list:
     particle_solver = dataclasses.replace(
         sc.solver,
         swap_passes=0,
-        polish=False,
         sca_tol=max(sc.solver.sca_tol, 1e-3),
         max_sca_iters=min(sc.solver.max_sca_iters, 12),
     )

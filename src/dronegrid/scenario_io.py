@@ -36,36 +36,26 @@ class ScenarioError(Exception):
         super().__init__("invalid scenario: " + "; ".join(self.errors))
 
 
-# section name -> (dataclass, {file key: (field, scale)})
+def _schema(cls, suffix: str = "", scale: float = 1.0) -> dict:
+    """{file key: (field, scale)} for every field of a parameter dataclass;
+    a file key is the field name plus suffix."""
+    return {f.name + suffix: (f.name, scale) for f in dataclasses.fields(cls)}
+
+
+# section name -> (dataclass, {file key: (field, scale)}); battery values
+# are given in kilojoules under keys ending in _kj
 _SECTIONS = {
-    "area": (AreaBounds, {k: (k, 1.0) for k in ("x_min", "x_max", "y_min", "y_max")}),
-    "channel": (ChannelParams, {k: (k, 1.0) for k in ("ref_gain", "ref_dist", "noise_power", "altitude")}),
-    "energy": (EnergyParams, {k: (k, 1.0) for k in (
-        "mass", "gravity", "air_density", "prop_radius", "prop_count",
-        "power_full", "power_idle", "v_max")}),
-    "pd_energy": (EnergyParams, {k: (k, 1.0) for k in (
-        "mass", "gravity", "air_density", "prop_radius", "prop_count",
-        "power_full", "power_idle", "v_max")}),
-    "battery": (BatteryParams, {
-        "initial_kj": ("initial", KJ),
-        "pd_initial_kj": ("pd_initial", KJ),
-        "threshold_kj": ("threshold", KJ),
-        "pd_threshold_kj": ("pd_threshold", KJ),
-        "charge_per_block_kj": ("charge_per_block", KJ),
-    }),
-    "time": (TimeGrid, {"blocks": ("blocks", 1.0), "block_s": ("block_s", 1.0), "move_s": ("move_s", 1.0)}),
-    "rates": (RateConstraintParams, {k: (k, 1.0) for k in (
-        "rate_floor", "backhaul_cap", "subchannels", "max_power")}),
-    "search": (SearchConfig, {k: (k, 1.0) for k in (
-        "particles", "shrink_factor", "max_refines", "init_radius", "tol")}),
-    "solver": (SolverConfig, {k: (k, 1.0) for k in (
-        "init_power", "sca_tol", "max_sca_iters", "swap_passes",
-        "exhaustive_cap", "probe_iters", "polish", "search_budget")}),
+    "area": (AreaBounds, _schema(AreaBounds)),
+    "channel": (ChannelParams, _schema(ChannelParams)),
+    "energy": (EnergyParams, _schema(EnergyParams)),
+    "pd_energy": (EnergyParams, _schema(EnergyParams)),
+    "battery": (BatteryParams, _schema(BatteryParams, "_kj", KJ)),
+    "time": (TimeGrid, _schema(TimeGrid)),
+    "rates": (RateConstraintParams, _schema(RateConstraintParams)),
+    "search": (SearchConfig, _schema(SearchConfig)),
+    "solver": (SolverConfig, _schema(SolverConfig)),
 }
 
-_INT_FIELDS = {"prop_count", "blocks", "subchannels", "particles", "max_refines",
-               "max_sca_iters", "swap_passes", "exhaustive_cap", "probe_iters",
-               "search_budget"}
 _TOP_KEYS = {"seed", "drones", "pd_pool", "users", "permissive_depletion", "time_total_s"} | set(_SECTIONS)
 
 
@@ -79,21 +69,15 @@ def draw_users(count: int, bounds: AreaBounds, seed: int) -> list:
     return [UserEquipment(i, float(x), float(y)) for i, (x, y) in enumerate(pts)]
 
 
-_NULLABLE = {("search", "init_radius")}
-
-
-def _coerce(section: str, key: str, field: str, raw, scale: float, errors: list):
-    """Returns (ok, value); appends to errors when not ok."""
-    if raw is None and (section, field) in _NULLABLE:
+def _coerce(section: str, key: str, kind: str, raw, scale: float, errors: list):
+    """Returns (ok, value); appends to errors when not ok. kind is the
+    field's annotation as written ("int", "float", "float | None"), which
+    the parameter modules keep as a string (postponed annotations)."""
+    if raw is None and kind.endswith("| None"):
         return True, None
-    if field in _INT_FIELDS:
+    if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             errors.append(f"{section}.{key} must be an integer, got {raw!r}")
-            return False, None
-        return True, raw
-    if field == "polish":
-        if not isinstance(raw, bool):
-            errors.append(f"{section}.{key} must be a boolean, got {raw!r}")
             return False, None
         return True, raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -141,13 +125,14 @@ def load_scenario(source=None) -> Scenario:
         if not isinstance(sub, dict):
             errors.append(f"section '{section}' must be an object")
             sub = {}
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in sub.items():
             if key not in mapping:
                 errors.append(f"unknown key '{key}' in section '{section}'")
                 continue
             field, scale = mapping[key]
-            ok, val = _coerce(section, key, field, raw, scale, errors)
+            ok, val = _coerce(section, key, kinds[field], raw, scale, errors)
             if ok:
                 kwargs[field] = val
         try:
@@ -256,7 +241,7 @@ def serialize_scenario(sc: Scenario) -> dict:
             val = getattr(obj, field)
             if val is None:
                 continue  # reloading falls back to the same default
-            if isinstance(val, bool) or isinstance(val, int):
+            if isinstance(val, int):
                 sec[key] = val
             else:
                 sec[key] = float(val) / scale

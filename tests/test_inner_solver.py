@@ -105,7 +105,7 @@ def test_infeasible_subproblem_fails_and_the_probe_names_the_users():
     lin, base = st.interference_bound(y)
     _, interior = _phase_one(st, lin, base + rcp.rate_floor, rcp.max_power, y)
     assert not interior  # phase I itself proves it, not only phase II's failure
-    _, feasible, violators = _probe_start(st, rcp, SolverConfig())
+    _, feasible, violators = _probe_start(st, rcp)
     assert not feasible and violators
     with pytest.raises(RateInfeasibleError) as err:
         solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), NOISE)

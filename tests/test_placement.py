@@ -183,7 +183,7 @@ def test_evaluate_particle_infeasible_is_infinite():
 # --- pruning: particle_floor bounds evaluate_particle exactly ---------------
 
 # the per-particle solver settings of an orchestrated run
-PARTICLE_SOLVER = SolverConfig(swap_passes=0, polish=False, sca_tol=1e-3, max_sca_iters=12)
+PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
 
 
 def _random_instance(rng, drones, users, noise, rate_floor):

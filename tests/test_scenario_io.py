@@ -49,13 +49,33 @@ def test_unknown_keys_are_named():
     assert len(err.value.errors) == 2  # both collected in one raise
 
 
-@pytest.mark.parametrize("section, key", [("battery", "big_m"), ("search", "seed"), ("solver", "inner_tol")])
+@pytest.mark.parametrize("section, key", [
+    ("battery", "big_m"), ("search", "seed"), ("solver", "inner_tol"),
+    ("solver", "probe_iters"), ("solver", "polish"),
+])
 def test_dropped_keys_fail_by_name(section, key):
     # older files may still carry these keys; they fail through the
     # unknown-key error, which names the key and its section
     with pytest.raises(ScenarioError) as err:
         load_scenario({section: {key: 1}})
     assert err.value.errors == [f"unknown key '{key}' in section '{section}'"]
+
+
+def test_integer_and_nullable_fields_follow_the_dataclasses():
+    # the loader reads these from the fields' annotations
+    integer = {("energy", "prop_count"), ("pd_energy", "prop_count"), ("time", "blocks"),
+               ("rates", "subchannels"), ("search", "particles"), ("search", "max_refines"),
+               ("solver", "max_sca_iters"), ("solver", "swap_passes"),
+               ("solver", "exhaustive_cap"), ("solver", "search_budget")}
+    doc = {section: {key: 1.5 for key in mapping} for section, (_, mapping) in _SECTIONS.items()}
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert {e for e in err.value.errors if "integer" in e} == {
+        f"{section}.{key} must be an integer, got 1.5" for section, key in integer}
+    assert load_scenario({"search": {"init_radius": None}}).search.init_radius is None
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"search": {"tol": None}})
+    assert err.value.errors == ["search.tol must be a number, got None"]
 
 
 def test_readme_scenario_table_matches_the_loader():
@@ -227,11 +247,13 @@ def test_cli_overrides_change_the_run(tmp_path):
 
 def test_cli_seed_override_moves_users(tmp_path):
     path = _write_fast_scenario(tmp_path)
-    cli_main(["--scenario", str(path), "--out", str(tmp_path / "s6"), "--quiet"])
-    cli_main(["--scenario", str(path), "--out", str(tmp_path / "s7"),
-              "--seed", "7", "--quiet"])
-    a = (tmp_path / "s6" / "user_rates.csv").read_bytes()
-    b = (tmp_path / "s7" / "user_rates.csv").read_bytes()
+    assert cli_main(["--scenario", str(path), "--out", str(tmp_path / "s6"), "--quiet"]) == 0
+    assert cli_main(["--scenario", str(path), "--out", str(tmp_path / "s7"),
+                     "--seed", "7", "--quiet"]) == 0
+    # every served user sits on its rate floor, so user_rates.csv can move
+    # only through solver slack; the energy the new positions cost cannot
+    a = (tmp_path / "s6" / "energy_breakdown.csv").read_bytes()
+    b = (tmp_path / "s7" / "energy_breakdown.csv").read_bytes()
     assert a != b
 
 
