@@ -8,11 +8,13 @@ candidate placements, and repeatedly shrinks the sampling radius around
 the best one. Moving costs real energy, so improvements must buy more in
 transmit power than they spend in propulsion.
 
-A candidate's motion and hover energy alone (`particle_floor`) is a lower
-bound on its score, since transmit energy is never negative. Candidates
-whose floor already reaches the best score so far cannot win, so the
-search prunes them without re-solving the radio problem; the answer is
-the same as scoring every one.
+A candidate's motion and hover energy plus a transmit floor
+(`particle_floor`) is a lower bound on its score. The transmit floor is
+the noise-only power each user's rate needs over all M subchannels of its
+best drone, which no allocation can undercut, less a relative 1e-9 for
+rounding. Candidates whose floor already reaches the best score so far
+cannot win, so the search prunes them without re-solving the radio
+problem; the answer is the same as scoring every one.
 """
 
 import numpy as np
@@ -42,7 +44,8 @@ def evaluator(cand):
 
 
 def floor(cand):
-    return particle_floor(cand, centers, sc.energy, sc.time)
+    return particle_floor(cand, centers, users, sc.channel, sc.energy,
+                          sc.time, sc.rates)
 
 
 stay_cost = evaluator(centers)

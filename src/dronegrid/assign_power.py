@@ -636,6 +636,26 @@ def solve_power_given_binaries(
     return st.scatter(accepted), state
 
 
+def transmit_power_floor(gains: np.ndarray, rcp: RateConstraintParams, noise_power: float) -> float:
+    """Summed transmit power (watts) that no allocation can undercut.
+
+    Interference only raises the power a rate needs, so user u, holding k
+    subchannels on drone d, needs at least the noise-only water-filling
+    power over k equal gains (Cover & Thomas, Elements of Information
+    Theory, ch. 9): k N (2^(r/k) - 1) / g_ud. That falls as k grows and a
+    user holds at most M subchannels on its one drone, so the user needs
+    at least M N (2^(r/M) - 1) / max_d g_ud, with N the noise power and
+    r the rate floor. Exactly 0.0 when rate_floor is 0 or there are no
+    users.
+    """
+    gains = np.asarray(gains, dtype=float)
+    if gains.shape[0] == 0:
+        return 0.0  # no users (a fully grounded fleet also has no drones)
+    M = rcp.subchannels
+    per_gain = M * noise_power * math.expm1(LN2 * rcp.rate_floor / M)
+    return float(np.sum(per_gain / gains.max(axis=1)))
+
+
 # ---------------------------------------------------------------------------
 # binary assignment
 # ---------------------------------------------------------------------------

@@ -271,7 +271,9 @@ def run_simulation(sc: Scenario) -> list:
 
         best_act, _, evals, pruned = search_positions(
             prev_act, centers_act, evaluator, search_cfg, sc.bounds, reach, place_rng,
-            bound=lambda cand: particle_floor(cand, prev_act, sc.energy, sc.time),
+            bound=lambda cand: particle_floor(
+                cand, prev_act, user_pos, sc.channel, sc.energy, sc.time, sc.rates
+            ),
         )
         gains = gain_table(best_act, user_pos, sc.channel)
         try:

@@ -9,17 +9,22 @@ by repeatedly shrinking the sampling radius around the incumbent and
 realigning the swarm there. Candidates always respect the area bounds and
 each drone's per-block reachability disc.
 
-Pruning. Transmit energy is never negative, so a candidate's motion and
-hover energy alone (`particle_floor`) bound its score from below, and the
-incumbent is only replaced by a strictly lower score. A candidate whose
-floor already reaches the incumbent's score cannot be accepted, so the
-search skips its radio solve. The floor is the score's own sum started
-from 0.0 instead of the transmit term, adding the same terms in the same
-order; rounded addition is monotone, so the floor never exceeds the score,
-exactly and not just within a tolerance. Every round draws all of its
-particles before scoring any, so pruning leaves the random stream, the
-incumbent sequence and the stopping rule unchanged: the search returns
-the same positions and value as without pruning, after fewer radio solves.
+Pruning. A candidate's score is bounded from below (`particle_floor`)
+by a transmit floor plus its motion and hover energy, and the incumbent
+is only replaced by a strictly lower score. A candidate whose floor
+already reaches the incumbent's score cannot be accepted, so the search
+skips its radio solve. The transmit floor is the power that no allocation
+can undercut (`assign_power.transmit_power_floor`: interference only
+raises the power a rate needs, and a user holds at most M subchannels on
+one drone), shrunk by a relative 1e-9 so that it stays below the solver's
+answer in floating point, times the block length. The floor then adds
+the same motion and hover terms in the same order as the score, starting
+from that transmit floor instead of the solved transmit energy; rounded
+addition is monotone, so the floor never exceeds the score, exactly and
+not just within a tolerance. Every round draws all of its particles
+before scoring any, so pruning leaves the random stream, the incumbent
+sequence and the stopping rule unchanged: the search returns the same
+positions and value as without pruning, after fewer radio solves.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign_power import RateConstraintParams, RateInfeasibleError, SolverConfig, solve_allocation
+from .assign_power import (
+    RateConstraintParams,
+    RateInfeasibleError,
+    SolverConfig,
+    solve_allocation,
+    transmit_power_floor,
+)
 from .channel import ChannelParams, gain_table
 from .energy import EnergyParams, TimeGrid, billed_speed, hardware_energy, hover_energy
 
@@ -175,7 +186,6 @@ def evaluate_particle(
     tg: TimeGrid,
     rcp: RateConstraintParams,
     solver_cfg: SolverConfig = SolverConfig(),
-    noise_power: float | None = None,
 ) -> float:
     """Energy bill (joules) of serving one block from these positions.
 
@@ -186,10 +196,9 @@ def evaluate_particle(
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
-    noise = cp.noise_power if noise_power is None else noise_power
     gains = gain_table(positions, user_positions, cp)
     try:
-        alloc, _ = solve_allocation(gains, rcp, solver_cfg, noise)
+        alloc, _ = solve_allocation(gains, rcp, solver_cfg, cp.noise_power)
     except RateInfeasibleError:
         return math.inf
     return _add_motion_hover(
@@ -200,17 +209,30 @@ def evaluate_particle(
 def particle_floor(
     positions: np.ndarray,
     prev_positions: np.ndarray,
+    user_positions: np.ndarray,
+    cp: ChannelParams,
     ep: EnergyParams,
     tg: TimeGrid,
+    rcp: RateConstraintParams,
 ) -> float:
     """Lower bound (joules) on `evaluate_particle` at the same placement.
 
-    The score's motion and hover terms without the transmit term, summed
-    the same way from 0.0, so it never exceeds the score in floating point.
+    The score's motion and hover terms, summed the same way but from the
+    transmit floor (`transmit_power_floor` at the candidate's gains, less
+    a relative 1e-9, times the block length) instead of the solved
+    transmit energy, so it never exceeds the score in floating point. A
+    rate-infeasible candidate scores inf and gets a finite floor.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
-    return _add_motion_hover(0.0, positions, prev_positions, ep, tg)
+    gains = gain_table(positions, user_positions, cp)
+    # The solver's answer is strictly interior to a conservative surrogate,
+    # so its true rates clear every floor up to rounding of about 1e-13 and
+    # its summed power sits at or above the exact floor to the same order.
+    # The 1e-9 margin covers that rounding and the floor's own, so
+    # tx_floor_j <= power.sum() * block_s holds in floating point.
+    tx_floor_j = transmit_power_floor(gains, rcp, cp.noise_power) * (1.0 - 1e-9) * tg.block_s
+    return _add_motion_hover(tx_floor_j, positions, prev_positions, ep, tg)
 
 
 def _add_motion_hover(total, positions, prev_positions, ep, tg) -> float:

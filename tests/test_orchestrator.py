@@ -125,6 +125,28 @@ def test_zero_users_hover_only():
     assert audit_run(sc, res) == []
 
 
+def test_transmit_floor_prunes_where_transmit_outweighs_motion():
+    # users in four clusters under heavy noise: transmit energy dwarfs any
+    # move, so motion and hover alone never reach the incumbent's score
+    # and every pruned candidate is pruned by the transmit floor
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-300.0, 300.0, size=(4, 2))
+    users = np.clip(centres[:, None, :] + rng.normal(0.0, 40.0, size=(4, 3, 2)), -400.0, 400.0)
+    search = {"particles": 6, "max_refines": 1}
+    sc = load_scenario({
+        "drones": 4,
+        "users": users.reshape(-1, 2).tolist(),
+        "channel": {"noise_power": 1e-7},
+        "rates": {"rate_floor": 2.0, "max_power": 10.0, "backhaul_cap": 100.0},
+        "search": search,
+        "time": {"blocks": 1},
+    })
+    (block,) = run_simulation(sc)[1:]
+    assert block.placement_pruned > 0
+    drawn = search["particles"] * (1 + search["max_refines"])
+    assert block.placement_evals + block.placement_pruned == drawn + 1
+
+
 def test_charge_fires_only_at_or_below_threshold():
     # batteries cross the threshold after the first block; from then on one
     # drone per block gets the quantum, never one that is still above

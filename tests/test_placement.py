@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from dronegrid import (
     SolverConfig,
     TimeGrid,
     evaluate_particle,
+    gain_table,
     generate_particles,
     hover_energy,
     particle_floor,
     search_positions,
     sector_partition,
+    solve_allocation,
+    transmit_power_floor,
 )
 
 BOUNDS = AreaBounds()
@@ -209,12 +214,43 @@ def test_particle_floor_never_exceeds_the_score(seed, noise, rate_floor):
     rng = np.random.default_rng(seed)
     pos, prev, ue, cp, rcp = _random_instance(rng, 2, 3, noise, rate_floor)
     val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp, PARTICLE_SOLVER)
-    floor = particle_floor(pos, prev, ep, tg)
+    floor = particle_floor(pos, prev, ue, cp, ep, tg, rcp)
     assert floor <= val
     if rate_floor == 0.0:
         assert floor == val
+    else:
+        # motion and hover alone: the same floor with no rate to meet
+        motion = particle_floor(pos, prev, ue, cp, ep, tg, dataclasses.replace(rcp, rate_floor=0.0))
+        assert floor >= motion
+        if rate_floor >= 0.5:
+            assert floor > motion  # a transmit term too large to round away
     if noise == 1e-2:
         assert val == np.inf and np.isfinite(floor)
+
+
+@pytest.mark.parametrize("noise, rate_floor", [(1e-10, 0.5), (1e-2, 6.0)])
+def test_particle_floor_equals_the_score_without_users(noise, rate_floor):
+    ep, tg = EnergyParams(), TimeGrid()
+    pos, prev, ue, cp, rcp = _random_instance(np.random.default_rng(0), 2, 0, noise, rate_floor)
+    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp, PARTICLE_SOLVER)
+    assert transmit_power_floor(gain_table(pos, ue, cp), rcp, noise) == 0.0
+    assert particle_floor(pos, prev, ue, cp, ep, tg, rcp) == val
+
+
+@pytest.mark.parametrize(
+    "subchannels, noise, rate_floor", [(3, 1e-10, 0.5), (12, 1e-7, 2.0)]
+)
+def test_transmit_floor_is_tight_for_a_user_alone_on_a_drone(subchannels, noise, rate_floor):
+    # with no interference and every subchannel on one drone, the equal
+    # split of the floor is the optimum, so the solver's power meets the
+    # bound up to its certified 1e-7 gap
+    cp = ChannelParams(noise_power=noise)
+    rcp = RateConstraintParams(rate_floor=rate_floor, subchannels=subchannels, max_power=10.0)
+    gains = gain_table(np.array([[10.0, -20.0]]), np.array([[40.0, 30.0]]), cp)
+    alloc, _ = solve_allocation(gains, rcp, PARTICLE_SOLVER, noise)
+    tx = float(alloc.power.sum())
+    bound = transmit_power_floor(gains, rcp, noise)
+    assert bound <= tx <= bound * (1 + 1e-6)
 
 
 def _pruning_instance(noise):
@@ -230,14 +266,20 @@ def _pruning_instance(noise):
         return evaluate_particle(cand, prev, users, cp, ep, tg, rcp, PARTICLE_SOLVER)
 
     def bound(cand):
-        return particle_floor(cand, prev, ep, tg)
+        return particle_floor(cand, prev, users, cp, ep, tg, rcp)
 
-    return prev, ev, bound, ep.v_max * tg.move_s
+    # the motion-and-hover part alone: the same floor with no rate to meet
+    no_rate = dataclasses.replace(rcp, rate_floor=0.0)
+
+    def motion_bound(cand):
+        return particle_floor(cand, prev, users, cp, ep, tg, no_rate)
+
+    return prev, ev, bound, motion_bound, ep.v_max * tg.move_s
 
 
 @pytest.mark.parametrize("noise, moves", [(1e-8, True), (3e-10, False)])
 def test_pruning_leaves_the_search_unchanged(noise, moves):
-    prev, ev, bound, reach = _pruning_instance(noise)
+    prev, ev, bound, motion_bound, reach = _pruning_instance(noise)
     cfg = SearchConfig(particles=6, max_refines=2, tol=0.0)
     plain_rng, pruned_rng = np.random.default_rng(3), np.random.default_rng(3)
     best, val, evals, pruned = search_positions(prev, prev, ev, cfg, BOUNDS, reach, plain_rng)
@@ -254,9 +296,17 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
     assert evals == 1 + drawn
     assert evals_p + pruned_p == 1 + drawn
     if moves:
-        # candidates win, and some are still pruned on the way
+        # candidates win, and some are still pruned on the way, more of
+        # them than motion and hover alone would prune
         assert (best != prev).any()
         assert 0 < pruned_p < drawn
+        motion_rng = np.random.default_rng(3)
+        best_m, val_m, _, pruned_m = search_positions(
+            prev, prev, ev, cfg, BOUNDS, reach, motion_rng, bound=motion_bound
+        )
+        np.testing.assert_array_equal(best_m, best)
+        assert val_m == val
+        assert pruned_p > pruned_m
     else:
         # the zero-motion incumbent wins and nothing else is scored
         np.testing.assert_array_equal(best, prev)
@@ -266,7 +316,7 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
 def test_pruned_plus_evaluated_counts_every_particle_drawn():
     # with a nonzero tol the search may stop early; the bound sees every
     # drawn particle except the incumbent, so it counts what was drawn
-    prev, ev, bound, reach = _pruning_instance(1e-8)
+    prev, ev, bound, _, reach = _pruning_instance(1e-8)
     drawn = []
 
     def counting_bound(cand):
