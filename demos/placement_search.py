@@ -21,6 +21,7 @@ import numpy as np
 
 from dronegrid import (
     SearchConfig,
+    SolverConfig,
     evaluate_particle,
     load_scenario,
     particle_floor,
@@ -40,7 +41,7 @@ reach = sc.energy.v_max * sc.time.move_s
 
 def evaluator(cand):
     return evaluate_particle(cand, centers, users, sc.channel, sc.energy,
-                             sc.time, sc.rates, sc.solver)
+                             sc.time, sc.rates, SolverConfig())
 
 
 def floor(cand):
@@ -51,7 +52,7 @@ def floor(cand):
 stay_cost = evaluator(centers)
 cfg = SearchConfig(particles=12, max_refines=3)
 best, best_val, evals, pruned = search_positions(
-    centers, centers, evaluator, cfg, sc.bounds, reach,
+    centers, centers, sc.bounds.diagonal / 2, evaluator, cfg, sc.bounds, reach,
     np.random.default_rng(0), bound=floor,
 )
 

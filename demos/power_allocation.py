@@ -27,7 +27,7 @@ users = np.array([ue.xy for ue in sc.users])
 centers = np.array([s.center for s in sector_partition(sc.bounds, sc.drones)])
 gains = gain_table(centers, users, sc.channel)
 
-alloc, state = solve_allocation(gains, sc.rates, sc.solver, sc.channel.noise_power)
+alloc, state = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power)
 
 print("objective trace (total watts per round):")
 for i, obj in enumerate(state.objective_trace):

@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import user_rates
+
 LN2 = math.log(2.0)
 
 
@@ -68,26 +70,21 @@ class RateConstraintParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the allocation solver.
+    """Knobs for the allocation solver; a mission solves each block with
+    the defaults and scores placement candidates with coarser ones.
 
-    init_power: flat first SCA anchor per triple, watts.
     sca_tol: the SCA stops once a round lowers the summed power by less
         than this fraction of it.
     max_sca_iters: cap on SCA rounds per power solve.
     swap_passes: local-search passes over the greedy assignment.
     exhaustive_cap: instances with at most this many binary options are
         enumerated outright.
-    search_budget: full power solves per pass, spent on the candidates
-        that the feasibility probe (_probe_start, one linear solve) ranks
-        lowest.
     """
 
-    init_power: float = 0.1
     sca_tol: float = 1e-4
     max_sca_iters: int = 50
     swap_passes: int = 1
     exhaustive_cap: int = 100
-    search_budget: int = 6
 
 
 @dataclass
@@ -235,11 +232,6 @@ class _Struct:
         full = np.zeros(self.shape)
         full[self.tu, self.td, self.tm] = x
         return full
-
-    def user_rates(self, x: np.ndarray) -> np.ndarray:
-        """True per-user rates at the packed power vector x."""
-        inr = self.den @ x + self.noise
-        return self.agg @ np.log2(1.0 + self.g_own * x / inr)
 
     def interference_bound(self, y: np.ndarray):
         """SCA surrogate of each user's summed log2(interference + noise).
@@ -559,6 +551,9 @@ def _probe_start(st: _Struct, rcp: RateConstraintParams):
 # concentrating each user's power on fewer of them needs less power.
 _TILT = 1e-6
 
+# Flat first SCA anchor per triple, watts.
+_INIT_POWER = 0.1
+
 
 def solve_power_given_binaries(
     assoc: np.ndarray,
@@ -588,10 +583,10 @@ def solve_power_given_binaries(
         state = ScaState(0, [0.0], converged=True)
         return np.zeros((U, D, M)), state
 
-    # reference point: flat init_power, shrunk where a drone's triple count
+    # reference point: flat _INIT_POWER, shrunk where a drone's triple count
     # would already break its cap, and tilted across subchannels by a
     # relative _TILT (see there)
-    base = min(cfg.init_power, rcp.max_power)
+    base = min(_INIT_POWER, rcp.max_power)
     loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
     tilt = 1.0 + _TILT * (st.tm + 1) / M
     y = tilt * np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
@@ -614,8 +609,8 @@ def solve_power_given_binaries(
                 y = tilt * px
                 continue
             if accepted is None:
-                slack = st.user_rates(x) - rcp.rate_floor
-                bad = st.users[np.asarray(slack) < 0]
+                rates = user_rates(st.scatter(x), gains, noise_power)[st.users]
+                bad = st.users[rates < rcp.rate_floor]
                 raise RateInfeasibleError(bad, "convexified subproblem unsolvable within tolerance")
             break
         obj = float(np.sum(x))
@@ -767,6 +762,11 @@ def _apply_candidate(assoc: np.ndarray, cand, M: int):
     return out, _deal_channels(out, M)
 
 
+# Full power solves per local-search pass, spent on the candidates that the
+# feasibility probe (_probe_start, one linear solve) ranks lowest.
+_SEARCH_BUDGET = 6
+
+
 def assign_binaries(
     gains: np.ndarray,
     rcp: RateConstraintParams,
@@ -776,19 +776,19 @@ def assign_binaries(
     """Choose association and subchannel indicators for the given gains.
 
     Small instances (option count within cfg.exhaustive_cap) are solved by
-    enumeration, larger ones by the greedy + local-search path. Returns
-    (assoc, chan, solved): solved is the (power, state) pair that
-    solve_power_given_binaries gave for the winning binaries, or None when
-    no power solve ran (no users, or cfg.swap_passes <= 0 on the greedy
-    path). Raises RateInfeasibleError if no assignment admits a feasible
-    power profile, and ValueError when U > D*M (some user could never hold
-    a subchannel).
+    enumeration, larger ones by the greedy assignment and cfg.swap_passes
+    passes of local search. Returns (assoc, chan, (power, state)), the
+    last being what solve_power_given_binaries gave for the winning
+    binaries. Raises RateInfeasibleError if no assignment admits a
+    feasible power profile, and ValueError when U > D*M (some user could
+    never hold a subchannel).
     """
     gains = np.asarray(gains, dtype=float)
     U, D = gains.shape
     M = rcp.subchannels
     if U == 0:
-        return np.zeros((0, D), dtype=np.int8), np.zeros((0, D, M), dtype=np.int8), None
+        assoc, chan = np.zeros((0, D), dtype=np.int8), np.zeros((0, D, M), dtype=np.int8)
+        return assoc, chan, solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
     if U > D * M:
         raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
 
@@ -811,14 +811,13 @@ def assign_binaries(
         return best[1:]
 
     assoc, chan = _greedy_binaries(gains, rcp)
-    if cfg.swap_passes <= 0:
-        # no local search: skip the baseline solve here, the caller's power
-        # solve performs the same feasibility check on these binaries
-        return assoc, chan, None
-    obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
-    feasible_found = obj is not None
-    if obj is None:
-        obj = math.inf  # let the local search try to rescue the corner
+    try:
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+    except RateInfeasibleError as err:
+        # kept to be raised if the local search cannot rescue the corner;
+        # it names the users the greedy binaries leave below the floor
+        greedy_error, solved = err, None
+    obj = solved[1].objective if solved is not None else math.inf
     for _ in range(cfg.swap_passes):
         # rank the whole neighbourhood with the cheap probe, then spend the
         # expensive full solves only on the most promising few; a candidate
@@ -829,8 +828,8 @@ def assign_binaries(
             scored.append((_probe_objective(a2, c2, gains, rcp, noise_power), k, a2, c2))
         scored.sort(key=lambda s: (s[0], s[1]))
         best_cand = None
-        for score, _, a2, c2 in scored[: max(cfg.search_budget, 1)]:
-            if not np.isfinite(score) and feasible_found:
+        for score, _, a2, c2 in scored[:_SEARCH_BUDGET]:
+            if not np.isfinite(score) and solved is not None:
                 break
             obj2, solved2 = _objective_for(a2, c2, gains, rcp, cfg, noise_power)
             if obj2 is not None and obj2 < obj * (1 - 1e-9):
@@ -839,10 +838,8 @@ def assign_binaries(
         if best_cand is None:
             break
         obj, assoc, chan, solved = best_cand
-        feasible_found = True
-    if not feasible_found:
-        # report through the power solver so the error names the users
-        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+    if solved is None:
+        raise greedy_error
     return assoc, chan, solved
 
 
@@ -852,17 +849,13 @@ def solve_allocation(
     cfg: SolverConfig = SolverConfig(),
     noise_power: float = 1e-10,
 ):
-    """Full radio solve for one block: binaries, then powers.
+    """Full radio solve for one block: assign_binaries' winning binaries
+    and the powers it solved for them.
 
     Returns (Allocation, ScaState). Charging indicators are left cleared;
     the scheduler fills them from battery state, not from the radio problem.
-    The powers are the ones assign_binaries solved for its winner; they
-    are solved here only when it solved none.
     """
-    assoc, chan, solved = assign_binaries(gains, rcp, cfg, noise_power)
-    if solved is None:
-        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
-    power, state = solved
+    assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, noise_power)
     alloc = Allocation(assoc, chan, power, np.zeros(gains.shape[1], dtype=np.int8))
     return alloc, state
 

@@ -47,6 +47,12 @@ from .placement import (
 )
 
 
+# Candidate positions only need a consistent ranking, not converged optima,
+# so the per-particle solves skip the local search and run the convexified
+# loop at a coarser tolerance than the final block solve.
+PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
+
+
 def _pd_energy_default() -> EnergyParams:
     # the powering drone hauls the charging payload: double takeoff mass
     return dataclasses.replace(EnergyParams(), mass=2 * EnergyParams().mass)
@@ -68,7 +74,6 @@ class Scenario:
     time: TimeGrid = field(default_factory=TimeGrid)
     rates: RateConstraintParams = field(default_factory=RateConstraintParams)
     search: SearchConfig = field(default_factory=SearchConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
     permissive_depletion: bool = False
 
     def validate(self) -> list:
@@ -101,7 +106,6 @@ class PdState:
 
     battery: float
     position: np.ndarray
-    swaps: int = 0
     standby_left: int = 0
     active: bool = True
 
@@ -195,18 +199,6 @@ def run_simulation(sc: Scenario) -> list:
     sectors = sector_partition(sc.bounds, D)
     centers = np.array([s.center for s in sectors])
     half_diag = sectors[0].diagonal / 2
-    search_cfg = sc.search
-    if search_cfg.init_radius is None:
-        search_cfg = dataclasses.replace(search_cfg, init_radius=half_diag)
-    # candidate positions only need a consistent ranking, not converged
-    # optima, so the per-particle solves skip the local search and run the
-    # convexified loop at a coarser tolerance than the final block solve
-    particle_solver = dataclasses.replace(
-        sc.solver,
-        swap_passes=0,
-        sca_tol=max(sc.solver.sca_tol, 1e-3),
-        max_sca_iters=min(sc.solver.max_sca_iters, 12),
-    )
     reach = sc.energy.v_max * sc.time.move_s
 
     root = np.random.SeedSequence(sc.seed)
@@ -242,7 +234,6 @@ def run_simulation(sc: Scenario) -> list:
             if pd.battery <= sc.battery.pd_threshold:
                 if pd.standby_left > 0:
                     pd.standby_left -= 1
-                    pd.swaps += 1
                     pd.battery = sc.battery.pd_initial
                     pd.position = sc.bounds.center
                     pd_swapped = True
@@ -266,18 +257,18 @@ def run_simulation(sc: Scenario) -> list:
         def evaluator(cand):
             return evaluate_particle(
                 cand, prev_act, user_pos, sc.channel, sc.energy, sc.time,
-                sc.rates, particle_solver,
+                sc.rates, PARTICLE_SOLVER,
             )
 
         best_act, _, evals, pruned = search_positions(
-            prev_act, centers_act, evaluator, search_cfg, sc.bounds, reach, place_rng,
+            prev_act, centers_act, half_diag, evaluator, sc.search, sc.bounds, reach, place_rng,
             bound=lambda cand: particle_floor(
                 cand, prev_act, user_pos, sc.channel, sc.energy, sc.time, sc.rates
             ),
         )
         gains = gain_table(best_act, user_pos, sc.channel)
         try:
-            alloc_act, sca = solve_allocation(gains, sc.rates, sc.solver, sc.channel.noise_power)
+            alloc_act, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power)
         except RateInfeasibleError as err:
             raise SimulationError(f"block {n}: {err}", results) from err
 

@@ -79,28 +79,23 @@ class SearchConfig:
     """Particle-search knobs.
 
     particles: candidates sampled per round.
-    shrink_factor: radius multiplier between refinement rounds.
-    max_refines: refinement rounds after the initial scatter.
-    init_radius: initial sampling radius; None means "half the sector
-    diagonal", filled in by the caller that knows the sectors (falls back
-    to half the area diagonal).
+    max_refines: refinement rounds after the initial scatter; each halves
+    the sampling radius (_SHRINK_FACTOR).
     tol: stop refining once a round improves the incumbent by less than
     this relative amount.
     """
 
     particles: int = 20
-    shrink_factor: float = 0.5
     max_refines: int = 4
-    init_radius: float | None = None
     tol: float = 1e-3
 
     def __post_init__(self):
         if self.particles < 1 or self.max_refines < 0:
             raise ValueError("particles must be >= 1 and max_refines >= 0")
-        if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.init_radius is not None and self.init_radius < 0:
-            raise ValueError("init_radius must be nonnegative")
+
+
+# Sampling-radius multiplier between refinement rounds.
+_SHRINK_FACTOR = 0.5
 
 
 def sector_partition(bounds: AreaBounds, count: int) -> list:
@@ -277,7 +272,7 @@ def shrink_and_realign(
     incumbent, keep the best of old and new. `bound`, when given, is a
     lower bound on `evaluator` used to skip hopeless particles. Returns
     (positions, value, new_radius, evaluations, pruned)."""
-    new_radius = radius * cfg.shrink_factor
+    new_radius = radius * _SHRINK_FACTOR
     parts = generate_particles(
         incumbent, new_radius, cfg.particles, rng, bounds, prev_positions, reach_radius
     )
@@ -290,6 +285,7 @@ def shrink_and_realign(
 def search_positions(
     prev_positions: np.ndarray,
     sector_centers: np.ndarray,
+    radius: float,
     evaluator,
     cfg: SearchConfig,
     bounds: AreaBounds,
@@ -300,8 +296,9 @@ def search_positions(
     """Full per-block placement search.
 
     Starts from the zero-motion incumbent (staying put is always feasible),
-    scatters an initial swarm around the sector centers, then runs up to
-    cfg.max_refines shrink-and-realign rounds around the running best.
+    scatters an initial swarm of the given radius around the sector
+    centers, then runs up to cfg.max_refines shrink-and-realign rounds
+    around the running best.
     `bound(cand)`, when given, must never exceed `evaluator(cand)`; every
     particle whose bound reaches the running best is pruned unscored, which
     leaves the result unchanged (None scores every particle). The
@@ -310,7 +307,6 @@ def search_positions(
     """
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     sector_centers = np.atleast_2d(np.asarray(sector_centers, dtype=float))
-    radius = cfg.init_radius if cfg.init_radius is not None else bounds.diagonal / 2
     best = prev_positions.copy()
     best_val = evaluator(best)
     parts = generate_particles(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign_power import RateConstraintParams, SolverConfig
+from .assign_power import RateConstraintParams
 from .channel import ChannelParams, UserEquipment
 from .energy import BatteryParams, EnergyParams, TimeGrid
 from .orchestrator import Scenario, SimulationError, audit_run, run_simulation
@@ -53,7 +53,6 @@ _SECTIONS = {
     "time": (TimeGrid, _schema(TimeGrid)),
     "rates": (RateConstraintParams, _schema(RateConstraintParams)),
     "search": (SearchConfig, _schema(SearchConfig)),
-    "solver": (SolverConfig, _schema(SolverConfig)),
 }
 
 _TOP_KEYS = {"seed", "drones", "pd_pool", "users", "permissive_depletion", "time_total_s"} | set(_SECTIONS)
@@ -71,10 +70,8 @@ def draw_users(count: int, bounds: AreaBounds, seed: int) -> list:
 
 def _coerce(section: str, key: str, kind: str, raw, scale: float, errors: list):
     """Returns (ok, value); appends to errors when not ok. kind is the
-    field's annotation as written ("int", "float", "float | None"), which
-    the parameter modules keep as a string (postponed annotations)."""
-    if raw is None and kind.endswith("| None"):
-        return True, None
+    field's annotation as written ("int" or "float"), which the parameter
+    modules keep as a string (postponed annotations)."""
     if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             errors.append(f"{section}.{key} must be an integer, got {raw!r}")
@@ -211,7 +208,6 @@ def load_scenario(source=None) -> Scenario:
         time=parts["time"],
         rates=parts["rates"],
         search=parts["search"],
-        solver=parts["solver"],
         permissive_depletion=permissive,
     )
     structural = sc.validate()
@@ -234,13 +230,11 @@ def serialize_scenario(sc: Scenario) -> dict:
         obj = {
             "area": sc.bounds, "channel": sc.channel, "energy": sc.energy,
             "pd_energy": sc.pd_energy, "battery": sc.battery, "time": sc.time,
-            "rates": sc.rates, "search": sc.search, "solver": sc.solver,
+            "rates": sc.rates, "search": sc.search,
         }[section]
         sec = {}
         for key, (field, scale) in mapping.items():
             val = getattr(obj, field)
-            if val is None:
-                continue  # reloading falls back to the same default
             if isinstance(val, int):
                 sec[key] = val
             else:

@@ -75,24 +75,9 @@ def test_sca_bound_dominates_everywhere():
             assert np.all(bound >= r2 - 1e-12 * np.maximum(1.0, np.abs(r2)))
 
 
-def test_packed_rates_equal_channel_model():
-    # the solver's packed per-user rates against the channel model on the
-    # scattered powers; users holding no subchannel are not in the packed view
-    rng = np.random.default_rng(40)
-    for _ in range(100):
-        U, D, M = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        gains = rng.uniform(1e-8, 1e-6, (U, D))
-        assoc, chan = random_binaries(rng, U, D, M)
-        chan[rng.random(U) < 0.2] = 0  # some users go unserved
-        st = _build_struct(assoc, chan, gains, NOISE)
-        x = rng.uniform(0.0, 1.0, st.n)
-        expect = user_rates(st.scatter(x), gains, NOISE)[st.users]
-        np.testing.assert_allclose(st.user_rates(x), expect, rtol=1e-12, atol=0)
-
-
 def test_packed_layout_matches_loop_construction():
-    # the (u, d, m) order of the triples is SLSQP's variable order, which
-    # the byte-identical traces rest on
+    # the (u, d, m) order of the triples is the solver's variable order,
+    # which the byte-identical traces rest on
     rng = np.random.default_rng(41)
     cases = []
     for _ in range(100):
@@ -304,8 +289,8 @@ def test_assign_binaries_feasible_shape():
 
 
 def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
-    # assign_binaries hands back the powers it solved for its winner, so
-    # solve_allocation adds no power solve of its own
+    # assign_binaries hands back the powers it solved for its winner on
+    # every path, so solve_allocation adds no power solve of its own
     from dronegrid import assign_power
 
     calls = []
@@ -319,18 +304,32 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     rng = np.random.default_rng(43)
     gains = rng.uniform(1e-8, 1e-6, (5, 2))
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
-    _, _, (power, state) = assign_binaries(gains, rcp, SolverConfig(), NOISE)
-    searched = len(calls)
-    alloc, sca = solve_allocation(gains, rcp, SolverConfig(), NOISE)
-    assert len(calls) == 2 * searched
-    np.testing.assert_array_equal(alloc.power, power)
-    assert sca.objective_trace == state.objective_trace
-    # without the local search nothing is solved there; the caller solves once
-    greedy_only = SolverConfig(exhaustive_cap=0, swap_passes=0)
-    assert assign_binaries(gains, rcp, greedy_only, NOISE)[2] is None
+    searched = []
+    for cfg in (SolverConfig(), SolverConfig(exhaustive_cap=0, swap_passes=0)):
+        calls.clear()
+        _, _, (power, state) = assign_binaries(gains, rcp, cfg, NOISE)
+        searched.append(len(calls))
+        alloc, sca = solve_allocation(gains, rcp, cfg, NOISE)
+        assert len(calls) == 2 * searched[-1]
+        np.testing.assert_array_equal(alloc.power, power)
+        assert sca.objective_trace == state.objective_trace
+    # the local search solves neighbours too; without it only the greedy deal
+    assert searched[0] > 1 and searched[1] == 1
+    # no users: the one solve returns empty powers
     calls.clear()
-    solve_allocation(gains, rcp, greedy_only, NOISE)
-    assert len(calls) == 1
+    alloc, _ = solve_allocation(np.zeros((0, 2)), rcp, SolverConfig(), NOISE)
+    assert len(calls) == 1 and alloc.power.shape == (0, 2, 4)
+    # nothing feasible: the greedy deal's own error is raised, and no
+    # binaries are solved twice on the way
+    calls.clear()
+    hopeless = RateConstraintParams(rate_floor=8.0, subchannels=2)
+    with pytest.raises(RateInfeasibleError) as err:
+        solve_allocation(np.full((3, 2), 1e-13), hopeless, SolverConfig(), NOISE)
+    solved = [(a.tobytes(), c.tobytes()) for a, c, *_ in calls]
+    assert len(calls) > 1 and len(set(solved)) == len(solved)
+    with pytest.raises(RateInfeasibleError) as greedy:
+        real(*calls[0])
+    assert str(err.value) == str(greedy.value)
 
 
 def test_greedy_prefers_the_stronger_drone():

@@ -21,8 +21,10 @@ from dronegrid import (
     solve_allocation,
     transmit_power_floor,
 )
+from dronegrid.orchestrator import PARTICLE_SOLVER  # an orchestrated run's particle scoring
 
 BOUNDS = AreaBounds()
+RADIUS = BOUNDS.diagonal / 2  # initial sampling radius of the searches below
 
 
 def test_sector_partition_quadrants():
@@ -101,7 +103,7 @@ def test_search_finds_synthetic_optimum():
 
     cfg = SearchConfig(particles=20, max_refines=4)
     best, val, evals, _ = search_positions(
-        np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0,
+        np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), RADIUS, ev, cfg, BOUNDS, 600.0,
         np.random.default_rng(9),
     )
     assert np.linalg.norm(best - target) < 10.0
@@ -118,7 +120,7 @@ def test_search_keeps_incumbent_when_it_is_best():
 
     cfg = SearchConfig(particles=10, max_refines=2)
     best, val, _, _ = search_positions(
-        prev, np.array([[0.0, 0.0]]), ev, cfg, BOUNDS, 600.0, np.random.default_rng(4)
+        prev, np.array([[0.0, 0.0]]), RADIUS, ev, cfg, BOUNDS, 600.0, np.random.default_rng(4)
     )
     np.testing.assert_array_equal(best, prev)
     assert val == 0.0
@@ -133,8 +135,8 @@ def test_search_deterministic_per_seed():
     cfg = SearchConfig(particles=8, max_refines=2)
     centers = np.array([[0.0, 0.0], [0.0, 0.0]])
     prev = centers.copy()
-    a = search_positions(prev, centers, ev, cfg, BOUNDS, 600.0, np.random.default_rng(1))
-    b = search_positions(prev, centers, ev, cfg, BOUNDS, 600.0, np.random.default_rng(1))
+    a = search_positions(prev, centers, RADIUS, ev, cfg, BOUNDS, 600.0, np.random.default_rng(1))
+    b = search_positions(prev, centers, RADIUS, ev, cfg, BOUNDS, 600.0, np.random.default_rng(1))
     np.testing.assert_array_equal(a[0], b[0])
     assert a[1] == b[1]
 
@@ -186,10 +188,6 @@ def test_evaluate_particle_infeasible_is_infinite():
 
 
 # --- pruning: particle_floor bounds evaluate_particle exactly ---------------
-
-# the per-particle solver settings of an orchestrated run
-PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
-
 
 def _random_instance(rng, drones, users, noise, rate_floor):
     prev = rng.uniform(-350.0, 350.0, size=(drones, 2))
@@ -282,10 +280,10 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
     prev, ev, bound, motion_bound, reach = _pruning_instance(noise)
     cfg = SearchConfig(particles=6, max_refines=2, tol=0.0)
     plain_rng, pruned_rng = np.random.default_rng(3), np.random.default_rng(3)
-    best, val, evals, pruned = search_positions(prev, prev, ev, cfg, BOUNDS, reach, plain_rng)
+    best, val, evals, pruned = search_positions(prev, prev, RADIUS, ev, cfg, BOUNDS, reach, plain_rng)
     assert pruned == 0
     best_p, val_p, evals_p, pruned_p = search_positions(
-        prev, prev, ev, cfg, BOUNDS, reach, pruned_rng, bound=bound
+        prev, prev, RADIUS, ev, cfg, BOUNDS, reach, pruned_rng, bound=bound
     )
     np.testing.assert_array_equal(best_p, best)
     assert val_p == val
@@ -302,7 +300,7 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
         assert 0 < pruned_p < drawn
         motion_rng = np.random.default_rng(3)
         best_m, val_m, _, pruned_m = search_positions(
-            prev, prev, ev, cfg, BOUNDS, reach, motion_rng, bound=motion_bound
+            prev, prev, RADIUS, ev, cfg, BOUNDS, reach, motion_rng, bound=motion_bound
         )
         np.testing.assert_array_equal(best_m, best)
         assert val_m == val
@@ -325,7 +323,7 @@ def test_pruned_plus_evaluated_counts_every_particle_drawn():
 
     cfg = SearchConfig(particles=6, max_refines=4)
     _, _, evals, pruned = search_positions(
-        prev, prev, ev, cfg, BOUNDS, reach, np.random.default_rng(5), bound=counting_bound
+        prev, prev, RADIUS, ev, cfg, BOUNDS, reach, np.random.default_rng(5), bound=counting_bound
     )
     assert len(drawn) % cfg.particles == 0
     assert pruned > 0

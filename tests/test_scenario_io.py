@@ -50,29 +50,37 @@ def test_unknown_keys_are_named():
 
 
 @pytest.mark.parametrize("section, key", [
-    ("battery", "big_m"), ("search", "seed"), ("solver", "inner_tol"),
-    ("solver", "probe_iters"), ("solver", "polish"),
+    ("battery", "big_m"), ("search", "seed"), ("search", "shrink_factor"),
+    ("search", "init_radius"), ("solver", "inner_tol"), ("solver", "probe_iters"),
+    ("solver", "polish"),
 ])
 def test_dropped_keys_fail_by_name(section, key):
     # older files may still carry these keys; they fail through the
-    # unknown-key error, which names the key and its section
+    # unknown-key error, which names the key and its section, or names the
+    # section itself as a top-level key when the whole section was dropped
+    if section in _SECTIONS:
+        expected = f"unknown key '{key}' in section '{section}'"
+    else:
+        expected = f"unknown key '{section}'"
     with pytest.raises(ScenarioError) as err:
         load_scenario({section: {key: 1}})
-    assert err.value.errors == [f"unknown key '{key}' in section '{section}'"]
+    assert err.value.errors == [expected]
 
 
-def test_integer_and_nullable_fields_follow_the_dataclasses():
+def test_integer_fields_follow_the_dataclasses():
     # the loader reads these from the fields' annotations
     integer = {("energy", "prop_count"), ("pd_energy", "prop_count"), ("time", "blocks"),
-               ("rates", "subchannels"), ("search", "particles"), ("search", "max_refines"),
-               ("solver", "max_sca_iters"), ("solver", "swap_passes"),
-               ("solver", "exhaustive_cap"), ("solver", "search_budget")}
+               ("rates", "subchannels"), ("search", "particles"), ("search", "max_refines")}
     doc = {section: {key: 1.5 for key in mapping} for section, (_, mapping) in _SECTIONS.items()}
     with pytest.raises(ScenarioError) as err:
         load_scenario(doc)
     assert {e for e in err.value.errors if "integer" in e} == {
         f"{section}.{key} must be an integer, got 1.5" for section, key in integer}
-    assert load_scenario({"search": {"init_radius": None}}).search.init_radius is None
+    # init_radius was the one nullable field; its key now fails by name,
+    # and None is no number anywhere
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"search": {"init_radius": None}})
+    assert err.value.errors == ["unknown key 'init_radius' in section 'search'"]
     with pytest.raises(ScenarioError) as err:
         load_scenario({"search": {"tol": None}})
     assert err.value.errors == ["search.tol must be a number, got None"]
