@@ -631,24 +631,57 @@ def solve_power_given_binaries(
     return st.scatter(accepted), state
 
 
+def _water_filling_power(held, gains: np.ndarray, rate_floor: float, noise_power: float) -> float:
+    """Summed noise-only water-filling power, watts.
+
+    User i holds held[i] subchannels, all of gain gains[i] (one drone).
+    Interference only raises the power a rate needs, so the user needs at
+    least the noise-only water-filling power over k equal gains (Cover &
+    Thomas, Elements of Information Theory, ch. 9): k N (2^(r/k) - 1) / g,
+    with N the noise power and r the rate floor. A user holding no
+    subchannel counts inf (no power reaches a positive floor; 0 when r is
+    0) instead of the formula's NaN. math.expm1 (one call per distinct k)
+    rather than np.expm1, whose last bit differs on about 1% of inputs.
+    """
+    def need(k):
+        if k == 0:
+            return math.inf if rate_floor > 0 else 0.0
+        return k * noise_power * math.expm1(LN2 * rate_floor / k)
+
+    per_k = {k: need(k) for k in set(held)}
+    return float(np.sum(np.array([per_k[k] for k in held], dtype=float) / gains))
+
+
 def transmit_power_floor(gains: np.ndarray, rcp: RateConstraintParams, noise_power: float) -> float:
     """Summed transmit power (watts) that no allocation can undercut.
 
-    Interference only raises the power a rate needs, so user u, holding k
-    subchannels on drone d, needs at least the noise-only water-filling
-    power over k equal gains (Cover & Thomas, Elements of Information
-    Theory, ch. 9): k N (2^(r/k) - 1) / g_ud. That falls as k grows and a
-    user holds at most M subchannels on its one drone, so the user needs
-    at least M N (2^(r/M) - 1) / max_d g_ud, with N the noise power and
-    r the rate floor. Exactly 0.0 when rate_floor is 0 or there are no
-    users.
+    User u, holding k subchannels on drone d, needs at least the
+    water-filling power k N (2^(r/k) - 1) / g_ud (_water_filling_power).
+    That falls as k grows and a user holds at most M subchannels on its
+    one drone, so the user needs at least M N (2^(r/M) - 1) / max_d g_ud.
+    Exactly 0.0 when rate_floor is 0 or there are no users.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.shape[0] == 0:
         return 0.0  # no users (a fully grounded fleet also has no drones)
-    M = rcp.subchannels
-    per_gain = M * noise_power * math.expm1(LN2 * rcp.rate_floor / M)
-    return float(np.sum(per_gain / gains.max(axis=1)))
+    held = [rcp.subchannels] * gains.shape[0]
+    return _water_filling_power(held, gains.max(axis=1), rcp.rate_floor, noise_power)
+
+
+def _assignment_floor(assoc, chan, gains, rcp: RateConstraintParams, noise_power: float) -> float:
+    """Lower bound on solve_power_given_binaries' objective for these binaries.
+
+    The water-filling power of every user over the subchannels it holds
+    on its drone, shrunk by a relative 1e-9. The solver's answer is
+    strictly interior to a conservative surrogate, so its true rates clear
+    every floor up to rounding of about 1e-13 and its summed power sits at
+    or above the exact floor to the same order; the margin covers that
+    rounding and the floor's own, as in placement.particle_floor.
+    """
+    users = np.arange(assoc.shape[0])
+    drone = np.asarray(assoc).argmax(axis=1)
+    held = np.asarray(chan)[users, drone].sum(axis=1).tolist()
+    return _water_filling_power(held, gains[users, drone], rcp.rate_floor, noise_power) * (1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +745,12 @@ def _enumerate_binaries(U: int, D: int, M: int):
 
 
 def _objective_for(assoc, chan, gains, rcp, cfg, noise_power):
-    """(objective, (power, state)) of the power solve; (None, None) when
+    """(objective, (power, state)) of the power solve; (None, error) when
     the binaries are rate-infeasible."""
     try:
         solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
-    except RateInfeasibleError:
-        return None, None
+    except RateInfeasibleError as err:
+        return None, err
     return solved[1].objective, solved
 
 
@@ -763,7 +796,10 @@ def _apply_candidate(assoc: np.ndarray, cand, M: int):
 
 
 # Full power solves per local-search pass, spent on the candidates that the
-# feasibility probe (_probe_start, one linear solve) ranks lowest.
+# feasibility probe (_probe_start, one linear solve) ranks lowest. A
+# candidate whose _assignment_floor proves it cannot win is not solved but
+# still takes its slot, so the budget picks the same candidates as without
+# the floor.
 _SEARCH_BUDGET = 6
 
 
@@ -782,6 +818,14 @@ def assign_binaries(
     binaries. Raises RateInfeasibleError if no assignment admits a
     feasible power profile, and ValueError when U > D*M (some user could
     never hold a subchannel).
+
+    Both paths skip the power solve of binaries whose _assignment_floor
+    already reaches the objective they would have to beat strictly (the
+    enumeration's best so far; the incumbent less its 1e-9 acceptance
+    margin, or the pass's best candidate). The floor never exceeds the
+    solve's objective, so the solves skipped are exactly ones that could
+    not have won: the result is the same as without the floor. A pass
+    whose whole neighbourhood is floored out ends before the probe ranking.
     """
     gains = np.asarray(gains, dtype=float)
     U, D = gains.shape
@@ -795,19 +839,21 @@ def assign_binaries(
     n_options = D * ((1 << M) - 1)
     if n_options**U <= cfg.exhaustive_cap:
         best = None
-        infeasible_users = set()
+        greedy = _greedy_binaries(gains, rcp)
+        greedy_error = None
         for assoc, chan in _enumerate_binaries(U, D, M):
+            if best is not None and _assignment_floor(assoc, chan, gains, rcp, noise_power) >= best[0]:
+                continue
             obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
             if obj is None:
+                if np.array_equal(assoc, greedy[0]) and np.array_equal(chan, greedy[1]):
+                    greedy_error = solved  # names the users the greedy deal leaves short
                 continue
             if best is None or obj < best[0]:
                 best = (obj, assoc, chan, solved)
         if best is None:
-            try:
-                solve_power_given_binaries(*_greedy_binaries(gains, rcp), gains, rcp, cfg, noise_power)
-            except RateInfeasibleError as err:
-                infeasible_users.update(err.users)
-            raise RateInfeasibleError(infeasible_users or range(U), "every assignment is power-infeasible")
+            # nothing was pruned, so the greedy deal was enumerated and solved
+            raise RateInfeasibleError(greedy_error.users or range(U), "every assignment is power-infeasible")
         return best[1:]
 
     assoc, chan = _greedy_binaries(gains, rcp)
@@ -819,22 +865,28 @@ def assign_binaries(
         greedy_error, solved = err, None
     obj = solved[1].objective if solved is not None else math.inf
     for _ in range(cfg.swap_passes):
+        # a candidate is accepted only if its re-solved powers beat the
+        # incumbent by a relative 1e-9; one whose floor reaches that cannot
+        target = obj * (1 - 1e-9)
+        neighbours = [_apply_candidate(assoc, cand, M) for cand in _move_swap_candidates(assoc, M)]
+        if not any(_assignment_floor(a2, c2, gains, rcp, noise_power) < target for a2, c2 in neighbours):
+            break
         # rank the whole neighbourhood with the cheap probe, then spend the
-        # expensive full solves only on the most promising few; a candidate
-        # is accepted only if its re-solved powers beat the incumbent
-        scored = []
-        for k, cand in enumerate(_move_swap_candidates(assoc, M)):
-            a2, c2 = _apply_candidate(assoc, cand, M)
-            scored.append((_probe_objective(a2, c2, gains, rcp, noise_power), k, a2, c2))
+        # expensive full solves only on the most promising few
+        scored = [
+            (_probe_objective(a2, c2, gains, rcp, noise_power), k, a2, c2)
+            for k, (a2, c2) in enumerate(neighbours)
+        ]
         scored.sort(key=lambda s: (s[0], s[1]))
-        best_cand = None
+        best_cand, bar = None, target  # bar: the objective a candidate must undercut
         for score, _, a2, c2 in scored[:_SEARCH_BUDGET]:
             if not np.isfinite(score) and solved is not None:
                 break
+            if _assignment_floor(a2, c2, gains, rcp, noise_power) >= bar:
+                continue
             obj2, solved2 = _objective_for(a2, c2, gains, rcp, cfg, noise_power)
-            if obj2 is not None and obj2 < obj * (1 - 1e-9):
-                if best_cand is None or obj2 < best_cand[0]:
-                    best_cand = (obj2, a2, c2, solved2)
+            if obj2 is not None and obj2 < bar:
+                best_cand, bar = (obj2, a2, c2, solved2), obj2
         if best_cand is None:
             break
         obj, assoc, chan, solved = best_cand

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from dronegrid import (
     assign_binaries,
     charge_decisions,
     check_backhaul,
+    cli_main,
     coupling_upper_bound,
     gain_table,
     interference_table,
@@ -26,9 +30,19 @@ from dronegrid import (
     sinr_table,
     solve_allocation,
     solve_power_given_binaries,
+    transmit_power_floor,
     user_rates,
 )
-from dronegrid.assign_power import _build_struct, _probe_start, coupling_admits
+from dronegrid.assign_power import (
+    _apply_candidate,
+    _assignment_floor,
+    _build_struct,
+    _greedy_binaries,
+    _move_swap_candidates,
+    _probe_start,
+    _water_filling_power,
+    coupling_admits,
+)
 
 NOISE = 1e-10
 
@@ -301,7 +315,9 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
-    rng = np.random.default_rng(43)
+    # gains where some neighbours of the greedy deal have a transmit floor
+    # below its objective, so the local search runs full solves
+    rng = np.random.default_rng(40)
     gains = rng.uniform(1e-8, 1e-6, (5, 2))
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
     searched = []
@@ -315,6 +331,19 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
         assert sca.objective_trace == state.objective_trace
     # the local search solves neighbours too; without it only the greedy deal
     assert searched[0] > 1 and searched[1] == 1
+    # a neighbourhood whose every floor reaches the greedy objective: the
+    # search ends without solving any neighbour, in any number of passes
+    pruned = np.random.default_rng(43).uniform(1e-8, 1e-6, (5, 2))
+    deal = _greedy_binaries(pruned, rcp)
+    target = real(*deal, pruned, rcp, SolverConfig(), NOISE)[1].objective * (1 - 1e-9)
+    for cand in _move_swap_candidates(deal[0], rcp.subchannels):
+        neighbour = _apply_candidate(deal[0], cand, rcp.subchannels)
+        assert _assignment_floor(*neighbour, pruned, rcp, NOISE) >= target
+    for passes in (1, 2):
+        calls.clear()
+        assoc, _, _ = assign_binaries(pruned, rcp, SolverConfig(exhaustive_cap=0, swap_passes=passes), NOISE)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(assoc, deal[0])
     # no users: the one solve returns empty powers
     calls.clear()
     alloc, _ = solve_allocation(np.zeros((0, 2)), rcp, SolverConfig(), NOISE)
@@ -330,6 +359,18 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     with pytest.raises(RateInfeasibleError) as greedy:
         real(*calls[0])
     assert str(err.value) == str(greedy.value)
+    # the same on the exhaustive path: each enumerated deal is solved once
+    # and the error names the users the greedy deal leaves short
+    calls.clear()
+    tiny = np.full((2, 1), 1e-13)
+    with pytest.raises(RateInfeasibleError) as err:
+        solve_allocation(tiny, hopeless, SolverConfig(), NOISE)
+    solved = [(a.tobytes(), c.tobytes()) for a, c, *_ in calls]
+    assert len(calls) == 2 and len(set(solved)) == 2
+    with pytest.raises(RateInfeasibleError) as greedy:
+        real(*_greedy_binaries(tiny, hopeless), tiny, hopeless, SolverConfig(), NOISE)
+    assert err.value.users == greedy.value.users
+    assert str(err.value) == "rate floor unreachable for users [0, 1]: every assignment is power-infeasible"
 
 
 def test_greedy_prefers_the_stronger_drone():
@@ -386,6 +427,125 @@ def test_exhaustive_matches_oracle_objective():
     assert obj == pytest.approx(oracle, rel=0.05)
     rates = user_rates(alloc.power, gains, 1e-7)
     assert rates.min() >= rcp.rate_floor - 1e-9
+
+
+# --- pruning: _assignment_floor bounds the power solve exactly ------------
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "noise, rate_floor",
+    [
+        (1e-10, 0.5),  # the shipped radio settings
+        (1e-16, 1e-3),  # tiny rates: the floor is nearly tight
+        (1e-7, 2.0),  # heavy noise, some binaries rate-infeasible
+        (1e-10, 0.0),  # no floor: both are exactly zero
+        (1e-2, 6.0),  # drowning noise: every solve is rate-infeasible
+    ],
+)
+def test_assignment_floor_never_exceeds_the_solve(seed, noise, rate_floor):
+    rng = np.random.default_rng(seed)
+    gains = rng.uniform(1e-8, 1e-6, (3, 2))
+    rcp = RateConstraintParams(rate_floor=rate_floor, subchannels=3, max_power=10.0)
+    for _ in range(3):
+        assoc, chan = random_binaries(rng, 3, 2, 3)
+        floor = _assignment_floor(assoc, chan, gains, rcp, noise)
+        try:
+            _, state = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), noise)
+        except RateInfeasibleError:
+            assert np.isfinite(floor) and floor > 0
+            continue
+        assert floor <= state.objective
+        if rate_floor == 0.0:
+            assert floor == state.objective == 0.0
+
+
+@pytest.mark.parametrize(
+    "subchannels, held, noise, rate_floor",
+    [(1, 1, 1e-10, 3.0), (3, 3, 1e-10, 0.5), (12, 5, 1e-7, 2.0)],
+)
+def test_assignment_floor_is_tight_for_a_user_alone_on_a_drone(subchannels, held, noise, rate_floor):
+    # no interference and an equal split of the floor is optimal, so the
+    # solve meets the water-filling power up to its certified 1e-7 gap
+    gains = np.array([[3e-7, 7e-7]])
+    rcp = RateConstraintParams(rate_floor=rate_floor, subchannels=subchannels, max_power=10.0)
+    assoc = np.array([[0, 1]], dtype=np.int8)
+    chan = np.zeros((1, 2, subchannels), dtype=np.int8)
+    chan[0, 1, :held] = 1
+    _, state = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), noise)
+    floor = _assignment_floor(assoc, chan, gains, rcp, noise)
+    assert floor <= state.objective <= floor * (1 + 1e-6)
+
+
+def test_water_filling_power_per_user():
+    # k N (2^(r/k) - 1) / g per user; the placement floor takes k = M at
+    # each user's best drone, in the same operation order as ever, so its
+    # value (and hence which particles are pruned) is unchanged bit for bit
+    rng = np.random.default_rng(5)
+    gains = rng.uniform(1e-9, 1e-6, (7, 3))
+    for M, r in [(1, 0.5), (3, 2.0), (12, 1e-4)]:
+        rcp = RateConstraintParams(rate_floor=r, subchannels=M)
+        per_gain = M * NOISE * math.expm1(math.log(2.0) * r / M)
+        assert transmit_power_floor(gains, rcp, NOISE) == float(np.sum(per_gain / gains.max(axis=1)))
+    expect = 2 * NOISE * (2.0 ** 0.25 - 1) / 1e-7 + NOISE * (2.0 ** 0.5 - 1) / 2e-7
+    assert _water_filling_power([2, 1], np.array([1e-7, 2e-7]), 0.5, NOISE) == pytest.approx(expect, rel=1e-12)
+    # the formula divides by k, so a user holding no subchannel is named
+    # explicitly: no power reaches a positive floor, and none is needed for 0
+    gains = np.array([1e-7, 1e-7])
+    assert _water_filling_power([0, 2], gains, 0.5, NOISE) == np.inf
+    assert _water_filling_power([0, 2], gains, 0.0, NOISE) == 0.0
+
+
+@pytest.mark.parametrize(
+    "U, D, M, cfg",
+    [
+        (5, 2, 4, SolverConfig(exhaustive_cap=0, swap_passes=1)),
+        # seed 1 accepts a swap, then searches again
+        (4, 2, 2, SolverConfig(exhaustive_cap=0, swap_passes=2)),
+        (2, 2, 2, SolverConfig()),  # 36 options: enumerated
+    ],
+)
+def test_floor_pruning_leaves_assign_binaries_unchanged(monkeypatch, U, D, M, cfg):
+    # the same binaries, powers and SCA trace with the floor as with a
+    # floor of 0.0, which prunes nothing; only the count of solves falls
+    from dronegrid import assign_power
+
+    calls = []
+    real = assign_power.solve_power_given_binaries
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=M, max_power=1.0)
+    instances = [np.random.default_rng(seed).uniform(1e-8, 1e-6, (U, D)) for seed in range(3)]
+
+    def outcome(gains):
+        assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, NOISE)
+        return assoc.tobytes(), chan.tobytes(), power.tobytes(), state.objective_trace
+
+    runs, solves = [], []
+    for floor in (assign_power._assignment_floor, lambda *args: 0.0):
+        monkeypatch.setattr(assign_power, "_assignment_floor", floor)
+        calls.clear()
+        runs.append([outcome(gains) for gains in instances])
+        solves.append(len(calls))
+    assert runs[0] == runs[1]
+    assert solves[0] < solves[1]  # the floor did skip solves
+
+
+def test_floor_pruning_leaves_the_mission_traces_unchanged(monkeypatch, tmp_path):
+    from dronegrid import assign_power
+
+    scenario = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "quick_look.json"
+    outs = []
+    for tag, floor in (("on", assign_power._assignment_floor), ("off", lambda *args: 0.0)):
+        monkeypatch.setattr(assign_power, "_assignment_floor", floor)
+        out = tmp_path / tag
+        assert cli_main(["--scenario", str(scenario), "--out", str(out), "--quiet"]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert len(outs[0]) == 5
+    assert outs[0] == outs[1]
 
 
 def test_allocation_violations_catch_defects():
