@@ -51,7 +51,7 @@ def floor(cand):
 
 stay_cost = evaluator(centers)
 cfg = SearchConfig(particles=12, max_refines=3)
-best, best_val, evals, pruned = search_positions(
+best, evals, pruned = search_positions(
     centers, centers, sc.bounds.diagonal / 2, evaluator, cfg, sc.bounds, reach,
     np.random.default_rng(0), bound=floor,
 )
@@ -61,7 +61,7 @@ print(np.round(centers, 1))
 print(f"cost of staying put: {stay_cost / 1e3:.3f} kJ")
 print(f"\nbest found after {evals} evaluations; {pruned} candidates pruned unscored:")
 print(np.round(best, 1))
-print(f"cost: {best_val / 1e3:.3f} kJ")
+print(f"cost: {evaluator(best) / 1e3:.3f} kJ")
 moved = np.linalg.norm(best - centers, axis=1)
 for d, m in enumerate(moved):
     print(f"drone {d} moved {m:.1f} m")

@@ -33,6 +33,7 @@ _TILT).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -611,7 +612,11 @@ def solve_power_given_binaries(
             if accepted is None:
                 rates = user_rates(st.scatter(x), gains, noise_power)[st.users]
                 bad = st.users[rates < rcp.rate_floor]
-                raise RateInfeasibleError(bad, "convexified subproblem unsolvable within tolerance")
+                # no user short at the failed iterate: name every user that
+                # holds a triple, so the error always names someone
+                raise RateInfeasibleError(
+                    bad if bad.size else st.users, "convexified subproblem unsolvable within tolerance"
+                )
             break
         obj = float(np.sum(x))
         if obj > obj_prev + 1e-15 * max(1.0, obj_prev):
@@ -808,6 +813,7 @@ def assign_binaries(
     rcp: RateConstraintParams,
     cfg: SolverConfig = SolverConfig(),
     noise_power: float = 1e-10,
+    memo: dict | None = None,
 ):
     """Choose association and subchannel indicators for the given gains.
 
@@ -826,8 +832,38 @@ def assign_binaries(
     solve's objective, so the solves skipped are exactly ones that could
     not have won: the result is the same as without the floor. A pass
     whose whole neighbourhood is floored out ends before the probe ranking.
+
+    The answer is a pure function of the arguments. memo, when given, is a
+    dict the caller owns (run_simulation keeps one per mission): a call
+    whose inputs equal a stored call's exactly, the gains byte for byte,
+    gets a copy of the stored answer instead of a solve. A rate-infeasible
+    input raises and is not stored. memo=None solves every call.
     """
     gains = np.asarray(gains, dtype=float)
+    if memo is None:
+        return _assign_binaries(gains, rcp, cfg, noise_power)
+    key = (rcp, cfg, noise_power, gains.shape, gains.tobytes())
+    if key in memo:
+        return copy.deepcopy(memo[key])
+    out = _assign_binaries(gains, rcp, cfg, noise_power)
+    memo[key] = copy.deepcopy(out)  # the caller may change what it gets
+    return out
+
+
+def retain_memo(memo: dict, gains: np.ndarray) -> None:
+    """Drop every entry of an assign_binaries memo whose gains differ from
+    these in any byte; what stays is at most one entry per
+    (rcp, cfg, noise_power)."""
+    gains = np.asarray(gains, dtype=float)
+    at = (gains.shape, gains.tobytes())
+    for key in [k for k in memo if k[3:] != at]:
+        del memo[key]
+
+
+def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig, noise_power: float):
+    """assign_binaries' solve, without the memo. A miss solves through this
+    and not through the public name, so each assign_binaries call the
+    benchmark's tracer counts is one call made by solve_allocation."""
     U, D = gains.shape
     M = rcp.subchannels
     if U == 0:
@@ -853,7 +889,7 @@ def assign_binaries(
                 best = (obj, assoc, chan, solved)
         if best is None:
             # nothing was pruned, so the greedy deal was enumerated and solved
-            raise RateInfeasibleError(greedy_error.users or range(U), "every assignment is power-infeasible")
+            raise RateInfeasibleError(greedy_error.users, "every assignment is power-infeasible")
         return best[1:]
 
     assoc, chan = _greedy_binaries(gains, rcp)
@@ -900,14 +936,15 @@ def solve_allocation(
     rcp: RateConstraintParams,
     cfg: SolverConfig = SolverConfig(),
     noise_power: float = 1e-10,
+    memo: dict | None = None,
 ):
     """Full radio solve for one block: assign_binaries' winning binaries
-    and the powers it solved for them.
+    and the powers it solved for them (memo is passed on to it).
 
     Returns (Allocation, ScaState). Charging indicators are left cleared;
     the scheduler fills them from battery state, not from the radio problem.
     """
-    assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, noise_power)
+    assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, noise_power, memo)
     alloc = Allocation(assoc, chan, power, np.zeros(gains.shape[1], dtype=np.int8))
     return alloc, state
 

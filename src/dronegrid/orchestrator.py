@@ -24,6 +24,7 @@ from .assign_power import (
     charge_decisions,
     check_backhaul,
     linearization_admits,
+    retain_memo,
     solve_allocation,
 )
 from .channel import ChannelParams, gain_table, user_rates
@@ -218,6 +219,9 @@ def run_simulation(sc: Scenario) -> list:
     batteries = np.full(D, sc.battery.initial)
     active = np.ones(D, dtype=bool)
     results = [_initial_result(sc, centers, pd)]
+    # assign_binaries' answers for this mission, reused wherever a block
+    # solves the radio problem at gains solved before (see retain_memo below)
+    memo = {}
 
     for n in range(1, sc.time.blocks + 1):
         events = []
@@ -257,10 +261,10 @@ def run_simulation(sc: Scenario) -> list:
         def evaluator(cand):
             return evaluate_particle(
                 cand, prev_act, user_pos, sc.channel, sc.energy, sc.time,
-                sc.rates, PARTICLE_SOLVER,
+                sc.rates, PARTICLE_SOLVER, memo,
             )
 
-        best_act, _, evals, pruned = search_positions(
+        best_act, evals, pruned = search_positions(
             prev_act, centers_act, half_diag, evaluator, sc.search, sc.bounds, reach, place_rng,
             bound=lambda cand: particle_floor(
                 cand, prev_act, user_pos, sc.channel, sc.energy, sc.time, sc.rates
@@ -268,9 +272,12 @@ def run_simulation(sc: Scenario) -> list:
         )
         gains = gain_table(best_act, user_pos, sc.channel)
         try:
-            alloc_act, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power)
+            alloc_act, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power, memo)
         except RateInfeasibleError as err:
             raise SimulationError(f"block {n}: {err}", results) from err
+        # keep only the chosen placement's answers: the next block's
+        # incumbent stays there, and another placement recurs only by chance
+        retain_memo(memo, gains)
 
         new_positions = positions.copy()
         new_positions[act_idx] = best_act

@@ -24,7 +24,7 @@ addition is monotone, so the floor never exceeds the score, exactly and
 not just within a tolerance. Every round draws all of its particles
 before scoring any, so pruning leaves the random stream, the incumbent
 sequence and the stopping rule unchanged: the search returns the same
-positions and value as without pruning, after fewer radio solves.
+positions as without pruning, after fewer radio solves.
 """
 
 from __future__ import annotations
@@ -181,19 +181,21 @@ def evaluate_particle(
     tg: TimeGrid,
     rcp: RateConstraintParams,
     solver_cfg: SolverConfig = SolverConfig(),
+    memo: dict | None = None,
 ) -> float:
     """Energy bill (joules) of serving one block from these positions.
 
-    Re-solves the radio subproblem at the candidate placement; the score is
-    transmit energy plus each drone's motion energy (at the speed implied
-    by its displacement from the previous block) plus hover energy.
-    Infeasible placements score +inf so the search simply avoids them.
+    Re-solves the radio subproblem at the candidate placement (memo is
+    passed on to `solve_allocation`); the score is transmit energy plus
+    each drone's motion energy (at the speed implied by its displacement
+    from the previous block) plus hover energy. Infeasible placements
+    score +inf so the search simply avoids them.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     gains = gain_table(positions, user_positions, cp)
     try:
-        alloc, _ = solve_allocation(gains, rcp, solver_cfg, cp.noise_power)
+        alloc, _ = solve_allocation(gains, rcp, solver_cfg, cp.noise_power, memo)
     except RateInfeasibleError:
         return math.inf
     return _add_motion_hover(
@@ -302,8 +304,8 @@ def search_positions(
     `bound(cand)`, when given, must never exceed `evaluator(cand)`; every
     particle whose bound reaches the running best is pruned unscored, which
     leaves the result unchanged (None scores every particle). The
-    incumbent is always scored. Returns (positions, value, evaluations,
-    pruned), where evaluations counts the evaluator calls made.
+    incumbent is always scored. Returns (positions, evaluations, pruned),
+    where evaluations counts the evaluator calls made.
     """
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     sector_centers = np.atleast_2d(np.asarray(sector_centers, dtype=float))
@@ -324,4 +326,4 @@ def search_positions(
         pruned += k
         if before - best_val < cfg.tol * max(abs(before), 1e-300):
             break
-    return best, best_val, evals, pruned
+    return best, evals, pruned

@@ -42,6 +42,7 @@ from dronegrid.assign_power import (
     _probe_start,
     _water_filling_power,
     coupling_admits,
+    retain_memo,
 )
 
 NOISE = 1e-10
@@ -269,6 +270,25 @@ def test_infeasible_floor_names_the_users():
     assert set(err.value.users) == {0, 1}
 
 
+def test_unsolvable_subproblem_names_a_user():
+    # one user alone on a drone at a tiny per-subchannel rate: the barrier
+    # fails to certify any round although the floor is reachable (a false
+    # infeasibility that is still open), and at the failed iterate the
+    # user's rate clears the floor, so the error must fall back to naming
+    # the users that hold triples instead of nobody
+    rcp = RateConstraintParams(rate_floor=1e-5, subchannels=3, max_power=10.0)
+    gains = np.full((1, 1), 7e-7)
+    assoc, chan = np.ones((1, 1), dtype=np.int8), np.ones((1, 1, 3), dtype=np.int8)
+    with pytest.raises(RateInfeasibleError) as err:
+        solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), NOISE)
+    assert err.value.users == (0,)
+    assert "convexified subproblem unsolvable" in str(err.value)
+    # the enumeration reports the greedy deal's users in turn
+    with pytest.raises(RateInfeasibleError) as err:
+        solve_allocation(gains, rcp, SolverConfig(), NOISE)
+    assert err.value.users == (0,)
+
+
 def test_uncovered_user_is_reported():
     gains = np.full((2, 1), 1e-6)
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=2)
@@ -371,6 +391,55 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
         real(*_greedy_binaries(tiny, hopeless), tiny, hopeless, SolverConfig(), NOISE)
     assert err.value.users == greedy.value.users
     assert str(err.value) == "rate floor unreachable for users [0, 1]: every assignment is power-infeasible"
+
+
+def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
+    from dronegrid import assign_power
+
+    calls = []
+    real = assign_power.solve_power_given_binaries
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
+    gains = np.random.default_rng(40).uniform(1e-8, 1e-6, (5, 2))
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
+    cfg = SolverConfig(exhaustive_cap=0)
+
+    def frozen(out):
+        assoc, chan, (power, state) = out
+        return assoc.tobytes(), chan.tobytes(), power.tobytes(), state.iteration, list(state.objective_trace)
+
+    memo = {}
+    expect = frozen(assign_binaries(gains, rcp, cfg, NOISE))
+    solves = len(calls)
+    calls.clear()
+    miss = assign_binaries(gains, rcp, cfg, NOISE, memo)
+    assert len(calls) == solves and len(memo) == 1
+    hit = assign_binaries(gains.copy(), rcp, cfg, NOISE, memo)
+    assert len(calls) == solves  # the hit solved nothing
+    # changing either answer changes neither the memo nor a later hit
+    for assoc, chan, (power, state) in (miss, hit):
+        assoc[:] = 0
+        chan[:] = 1
+        power[:] = -1.0
+        state.iteration = -1
+        state.objective_trace.append(-1.0)
+    assert frozen(assign_binaries(gains, rcp, cfg, NOISE, memo)) == expect
+    assert len(calls) == solves
+    # any other input is a miss: one gain a single ulp off, another config
+    nudged = gains.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], 1.0)
+    assign_binaries(nudged, rcp, cfg, NOISE, memo)
+    assign_binaries(gains, rcp, SolverConfig(swap_passes=0, exhaustive_cap=0), NOISE, memo)
+    assert len(memo) == 3 and len(calls) > solves
+    # the mission keeps only the entries at the gains it settled on
+    retain_memo(memo, gains)
+    assert len(memo) == 2
+    retain_memo(memo, nudged)
+    assert memo == {}
 
 
 def test_greedy_prefers_the_stronger_drone():

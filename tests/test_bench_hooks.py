@@ -1,9 +1,14 @@
-"""The benchmark's span hooks name functions that exist.
+"""The benchmark's span hooks name functions that exist, and a traced
+mission meets the benchmark's counting identities.
 
 perfbench/spans.py intercepts calls by replacing `module.attr` for each
 entry of its HOOKS table. A refactor that renames or inlines a hooked
-function would leave the traced benchmark without that span; this test
-fails instead. spans.py is loaded by path and not modified.
+function would leave the traced benchmark without that span; the first
+test fails instead. The traced benchmark also checks that every particle
+score and every block makes one `solve_allocation` call and each of those
+one `assign_binaries` call; a cache or a shortcut placed around a hooked
+name would break that, and the second test fails instead. spans.py is
+loaded by path and not modified.
 """
 
 import importlib
@@ -12,17 +17,33 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import dronegrid
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def _hooks():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.HOOKS
+    return spans
 
 
-@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in _hooks()])
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in _spans().HOOKS])
 def test_hooked_name_is_a_callable(module, attr):
     mod = importlib.import_module(f"dronegrid.{module}")
     assert callable(getattr(mod, attr, None)), f"dronegrid.{module}.{attr}"
+
+
+def test_traced_mission_meets_the_counting_identities():
+    spans = _spans()
+    sc = dronegrid.load_scenario(ROOT / "demos" / "scenarios" / "quick_look.json")
+    tracer = spans.Tracer()
+    with tracer.installed(dronegrid):
+        results = dronegrid.run_simulation(sc)
+    blocks = len(results) - 1
+    m = spans.layer_metrics(tracer.spans, blocks)
+    evals = sum(res.placement_evals for res in results[1:])
+    assert spans.identity_errors(m, evals) == []
+    assert m["placement.evaluate_particle.calls"][0] == evals >= blocks

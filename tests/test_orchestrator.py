@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +9,23 @@ from dronegrid import (
     DepletionError,
     EnergyParams,
     PdDepletedError,
+    SolverConfig,
     TimeGrid,
     audit_run,
     cdbs_battery_step,
+    gain_table,
     hover_energy,
     kinematics_check,
     load_scenario,
     pd_battery_step,
     run_simulation,
+    solve_allocation,
 )
 
 # small, fast search settings shared by the scenarios below
 FAST_SEARCH = {"particles": 5, "max_refines": 1, "tol": 1e-3}
+
+QUICK_LOOK = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "quick_look.json"
 
 
 def _mini(doc):
@@ -343,3 +349,105 @@ def test_scenario_validation_collects_errors():
     bad = dataclasses.replace(sc, drones=0, pd_pool=-1)
     problems = bad.validate()
     assert len(problems) >= 2
+
+
+# ---------------------------------------------------------------------------
+# solves reused across blocks (the assign_binaries memo of one mission)
+# ---------------------------------------------------------------------------
+
+def _grounding_scenario():
+    # both drones end block 1 below the threshold; block 2 charges one and
+    # grounds the other, so block 3 solves with one drone instead of two
+    return _mini({
+        "users": 3, "drones": 2, "seed": 11, "permissive_depletion": True,
+        "time": {"blocks": 3},
+        "battery": {"initial_kj": 40.0, "threshold_kj": 20.0, "charge_per_block_kj": 80.0},
+    })
+
+
+def _count_solves(monkeypatch):
+    """Record 'block' at each placement search and 'solve' at each power solve."""
+    from dronegrid import assign_power, orchestrator
+
+    log = []
+    solve, search = assign_power.solve_power_given_binaries, orchestrator.search_positions
+
+    def counting_solve(*args):
+        log.append("solve")
+        return solve(*args)
+
+    def marking_search(*args, **kwargs):
+        log.append("block")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting_solve)
+    monkeypatch.setattr(orchestrator, "search_positions", marking_search)
+    return log
+
+
+def _solves_per_block(log):
+    blocks = []
+    for entry in log:
+        if entry == "block":
+            blocks.append(0)
+        else:
+            blocks[-1] += 1
+    return blocks
+
+
+@pytest.mark.parametrize("scenario", ["quick_look", "grounding"])
+def test_each_block_equals_a_fresh_solve_at_its_gains(scenario):
+    sc = load_scenario(QUICK_LOOK) if scenario == "quick_look" else _grounding_scenario()
+    res = run_simulation(sc)
+    users = np.array([ue.xy for ue in sc.users])
+    shapes = set()
+    for prev, cur in zip(res, res[1:]):
+        act = np.nonzero(prev.active_drones)[0]  # the fleet the block solved for
+        gains = gain_table(cur.positions[act], users, sc.channel)
+        shapes.add(gains.shape)
+        alloc, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power)
+        np.testing.assert_array_equal(cur.alloc.assoc[:, act], alloc.assoc)
+        np.testing.assert_array_equal(cur.alloc.chan[:, act], alloc.chan)
+        assert cur.alloc.power[:, act].tobytes() == alloc.power.tobytes()
+        assert cur.sca_iterations == sca.iteration
+    if scenario == "grounding":
+        assert shapes == {(3, 2), (3, 1)}
+        assert audit_run(sc, res) == []
+
+
+def test_a_fleet_holding_its_placement_solves_nothing_again(monkeypatch):
+    # quick_look keeps the zero-motion incumbent in every block, so from
+    # block 2 on the incumbent's score and the final allocation are both
+    # answers the mission already has
+    log = _count_solves(monkeypatch)
+    sc = load_scenario(QUICK_LOOK)
+    res = run_simulation(sc)
+    assert all((r.speeds == 0).all() for r in res[1:])
+    blocks = _solves_per_block(log)
+    assert len(blocks) == sc.time.blocks >= 3
+    assert blocks[0] > 0 and blocks[1:] == [0] * (sc.time.blocks - 1)
+
+
+def test_no_answer_outlives_its_mission(monkeypatch):
+    from dronegrid import orchestrator
+
+    log = _count_solves(monkeypatch)
+    kept = []
+    retain = orchestrator.retain_memo
+
+    def measuring_retain(memo, gains):
+        retain(memo, gains)
+        kept.append(len(memo))
+
+    monkeypatch.setattr(orchestrator, "retain_memo", measuring_retain)
+    sc = load_scenario(QUICK_LOOK)
+    first = run_simulation(sc)
+    once = _solves_per_block(log)
+    # each block ends holding at most the particle and the final answer
+    # at the chosen placement, however many particles it scored
+    assert kept == [2] * sc.time.blocks
+    log.clear()
+    second = run_simulation(sc)
+    assert _solves_per_block(log) == once
+    for a, b in zip(first, second):
+        assert a.alloc is None or a.alloc.power.tobytes() == b.alloc.power.tobytes()

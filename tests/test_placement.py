@@ -102,12 +102,11 @@ def test_search_finds_synthetic_optimum():
         return float(np.sum((pos - target) ** 2))
 
     cfg = SearchConfig(particles=20, max_refines=4)
-    best, val, evals, _ = search_positions(
+    best, evals, _ = search_positions(
         np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), RADIUS, ev, cfg, BOUNDS, 600.0,
         np.random.default_rng(9),
     )
     assert np.linalg.norm(best - target) < 10.0
-    assert val == pytest.approx(ev(best))
     assert evals >= cfg.particles + 1
 
 
@@ -119,11 +118,11 @@ def test_search_keeps_incumbent_when_it_is_best():
         return float(np.sum((pos - prev) ** 2))
 
     cfg = SearchConfig(particles=10, max_refines=2)
-    best, val, _, _ = search_positions(
+    best, _, _ = search_positions(
         prev, np.array([[0.0, 0.0]]), RADIUS, ev, cfg, BOUNDS, 600.0, np.random.default_rng(4)
     )
     np.testing.assert_array_equal(best, prev)
-    assert val == 0.0
+    assert ev(best) == 0.0
 
 
 def test_search_deterministic_per_seed():
@@ -280,13 +279,13 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
     prev, ev, bound, motion_bound, reach = _pruning_instance(noise)
     cfg = SearchConfig(particles=6, max_refines=2, tol=0.0)
     plain_rng, pruned_rng = np.random.default_rng(3), np.random.default_rng(3)
-    best, val, evals, pruned = search_positions(prev, prev, RADIUS, ev, cfg, BOUNDS, reach, plain_rng)
+    best, evals, pruned = search_positions(prev, prev, RADIUS, ev, cfg, BOUNDS, reach, plain_rng)
     assert pruned == 0
-    best_p, val_p, evals_p, pruned_p = search_positions(
+    best_p, evals_p, pruned_p = search_positions(
         prev, prev, RADIUS, ev, cfg, BOUNDS, reach, pruned_rng, bound=bound
     )
     np.testing.assert_array_equal(best_p, best)
-    assert val_p == val
+    assert ev(best_p) == ev(best)
     assert pruned_rng.uniform() == plain_rng.uniform()
     # every drawn particle is either scored or pruned; the incumbent is
     # always scored
@@ -299,11 +298,11 @@ def test_pruning_leaves_the_search_unchanged(noise, moves):
         assert (best != prev).any()
         assert 0 < pruned_p < drawn
         motion_rng = np.random.default_rng(3)
-        best_m, val_m, _, pruned_m = search_positions(
+        best_m, _, pruned_m = search_positions(
             prev, prev, RADIUS, ev, cfg, BOUNDS, reach, motion_rng, bound=motion_bound
         )
         np.testing.assert_array_equal(best_m, best)
-        assert val_m == val
+        assert ev(best_m) == ev(best)
         assert pruned_p > pruned_m
     else:
         # the zero-motion incumbent wins and nothing else is scored
@@ -322,7 +321,7 @@ def test_pruned_plus_evaluated_counts_every_particle_drawn():
         return bound(cand)
 
     cfg = SearchConfig(particles=6, max_refines=4)
-    _, _, evals, pruned = search_positions(
+    _, evals, pruned = search_positions(
         prev, prev, RADIUS, ev, cfg, BOUNDS, reach, np.random.default_rng(5), bound=counting_bound
     )
     assert len(drawn) % cfg.particles == 0
