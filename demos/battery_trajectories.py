@@ -7,7 +7,7 @@ whichever unit falls to the 100 kJ threshold, once with no powering drone
 at all. Prints both battery tables and, when matplotlib is importable,
 saves a side-by-side step plot to battery_trajectories.png.
 
-Takes a couple of minutes: each mission is six blocks of placement search
+Takes about a second: each mission is six blocks of placement search
 plus power optimization.
 """
 

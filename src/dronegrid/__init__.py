@@ -17,7 +17,6 @@ from .assign_power import (
     assign_binaries,
     charge_decisions,
     check_backhaul,
-    coupling_upper_bound,
     linearization_admits,
     sca_rate_upper_bound,
     solve_allocation,
@@ -100,7 +99,6 @@ __all__ = [
     "charge_decisions",
     "check_backhaul",
     "cli_main",
-    "coupling_upper_bound",
     "draw_users",
     "emit_traces",
     "evaluate_particle",

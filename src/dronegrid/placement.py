@@ -45,6 +45,10 @@ from .channel import ChannelParams, gain_table
 from .energy import EnergyParams, TimeGrid, billed_speed, hardware_energy, hover_energy
 
 
+# Meters a point may stray past the area's edge and still count as inside.
+_EDGE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class AreaBounds:
     """Axis-aligned rectangle, meters."""
@@ -66,11 +70,12 @@ class AreaBounds:
     def diagonal(self) -> float:
         return math.hypot(self.x_max - self.x_min, self.y_max - self.y_min)
 
-    def contains(self, xy, tol: float = 1e-9) -> bool:
+    def contains(self, xy) -> bool:
+        """Whether xy lies in the rectangle, up to _EDGE_TOL meters."""
         x, y = float(xy[0]), float(xy[1])
         return (
-            self.x_min - tol <= x <= self.x_max + tol
-            and self.y_min - tol <= y <= self.y_max + tol
+            self.x_min - _EDGE_TOL <= x <= self.x_max + _EDGE_TOL
+            and self.y_min - _EDGE_TOL <= y <= self.y_max + _EDGE_TOL
         )
 
 
@@ -96,6 +101,10 @@ class SearchConfig:
 
 # Sampling-radius multiplier between refinement rounds.
 _SHRINK_FACTOR = 0.5
+
+# Draws per drone before generate_particles gives up and keeps the drone
+# where it was.
+_MAX_TRIES = 200
 
 
 def sector_partition(bounds: AreaBounds, count: int) -> list:
@@ -140,15 +149,14 @@ def generate_particles(
     bounds: AreaBounds,
     prev_positions: np.ndarray,
     reach_radius: float,
-    max_tries: int = 200,
 ) -> np.ndarray:
     """Sample `count` joint placements around per-drone anchor points.
 
     Each drone's candidate is drawn uniformly from the disc of the given
     radius around its anchor, rejecting draws that leave the area or the
     drone's reachability disc (reach_radius around its previous position).
-    A drone whose sampler keeps missing the feasible intersection falls
-    back to staying where it was, which is always feasible.
+    A drone whose sampler misses the feasible intersection _MAX_TRIES
+    times falls back to staying where it was, which is always feasible.
     Returns (count, D, 2).
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -158,7 +166,7 @@ def generate_particles(
     for p in range(count):
         for d in range(D):
             pos = None
-            for _ in range(max_tries):
+            for _ in range(_MAX_TRIES):
                 rho = radius * math.sqrt(rng.uniform())
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 cand = anchors[d] + rho * np.array([math.cos(theta), math.sin(theta)])

@@ -42,17 +42,17 @@ def _schema(cls, suffix: str = "", scale: float = 1.0) -> dict:
     return {f.name + suffix: (f.name, scale) for f in dataclasses.fields(cls)}
 
 
-# section name -> (dataclass, {file key: (field, scale)}); battery values
-# are given in kilojoules under keys ending in _kj
+# section name -> (Scenario attribute, dataclass, {file key: (field,
+# scale)}); battery values are given in kilojoules under keys ending in _kj
 _SECTIONS = {
-    "area": (AreaBounds, _schema(AreaBounds)),
-    "channel": (ChannelParams, _schema(ChannelParams)),
-    "energy": (EnergyParams, _schema(EnergyParams)),
-    "pd_energy": (EnergyParams, _schema(EnergyParams)),
-    "battery": (BatteryParams, _schema(BatteryParams, "_kj", KJ)),
-    "time": (TimeGrid, _schema(TimeGrid)),
-    "rates": (RateConstraintParams, _schema(RateConstraintParams)),
-    "search": (SearchConfig, _schema(SearchConfig)),
+    "area": ("bounds", AreaBounds, _schema(AreaBounds)),
+    "channel": ("channel", ChannelParams, _schema(ChannelParams)),
+    "energy": ("energy", EnergyParams, _schema(EnergyParams)),
+    "pd_energy": ("pd_energy", EnergyParams, _schema(EnergyParams)),
+    "battery": ("battery", BatteryParams, _schema(BatteryParams, "_kj", KJ)),
+    "time": ("time", TimeGrid, _schema(TimeGrid)),
+    "rates": ("rates", RateConstraintParams, _schema(RateConstraintParams)),
+    "search": ("search", SearchConfig, _schema(SearchConfig)),
 }
 
 _TOP_KEYS = {"seed", "drones", "pd_pool", "users", "permissive_depletion", "time_total_s"} | set(_SECTIONS)
@@ -117,8 +117,10 @@ def load_scenario(source=None) -> Scenario:
     errors = [f"unknown key '{k}'" for k in doc if k not in _TOP_KEYS]
 
     parts = {}
-    for section, (cls, mapping) in _SECTIONS.items():
-        sub = doc.get(section, {})
+    for section, (attr, cls, mapping) in _SECTIONS.items():
+        if section not in doc:
+            continue
+        sub = doc[section]
         if not isinstance(sub, dict):
             errors.append(f"section '{section}' must be an object")
             sub = {}
@@ -133,18 +135,16 @@ def load_scenario(source=None) -> Scenario:
             if ok:
                 kwargs[field] = val
         try:
-            parts[section] = cls(**kwargs)
+            parts[attr] = cls(**kwargs)
         except (ValueError, TypeError) as err:
             errors.append(f"section '{section}': {err}")
-            parts[section] = cls()
+    # whatever the document leaves out keeps Scenario's defaults
+    sc = Scenario(**parts)
 
-    if "pd_energy" not in doc:
-        parts["pd_energy"] = dataclasses.replace(parts["energy"], mass=2 * parts["energy"].mass)
-
-    seed = doc.get("seed", 0)
-    drones = doc.get("drones", 4)
-    pd_pool = doc.get("pd_pool", 2)
-    permissive = doc.get("permissive_depletion", False)
+    seed = doc.get("seed", sc.seed)
+    drones = doc.get("drones", sc.drones)
+    pd_pool = doc.get("pd_pool", sc.pd_pool)
+    permissive = doc.get("permissive_depletion", sc.permissive_depletion)
     for name, val, want in (("seed", seed, int), ("drones", drones, int), ("pd_pool", pd_pool, int)):
         if isinstance(val, bool) or not isinstance(val, want):
             errors.append(f"{name} must be an integer, got {val!r}")
@@ -159,31 +159,35 @@ def load_scenario(source=None) -> Scenario:
         if users_doc < 0:
             errors.append("users count cannot be negative")
         elif isinstance(seed, int) and not isinstance(seed, bool):
-            users = draw_users(users_doc, parts["area"], seed)
+            users = draw_users(users_doc, sc.bounds, seed)
     elif isinstance(users_doc, list):
         for i, entry in enumerate(users_doc):
-            if isinstance(entry, dict):
-                extra = set(entry) - {"uid", "x", "y"}
-                if extra:
-                    errors.append(f"users[{i}]: unknown key(s) {sorted(extra)}")
-                    continue
-                try:
-                    users.append(UserEquipment(int(entry.get("uid", i)), float(entry["x"]), float(entry["y"])))
-                except (KeyError, TypeError, ValueError):
-                    errors.append(f"users[{i}] needs numeric 'x' and 'y'")
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                try:
-                    users.append(UserEquipment(i, float(entry[0]), float(entry[1])))
-                except (TypeError, ValueError):
-                    errors.append(f"users[{i}] coordinates must be numeric")
-            else:
+            if isinstance(entry, (list, tuple)) and len(entry) == 2:
+                entry = {"x": entry[0], "y": entry[1]}
+            elif not isinstance(entry, dict):
                 errors.append(f"users[{i}] must be [x, y] or an object with x and y")
+                continue
+            extra = set(entry) - {"uid", "x", "y"}
+            if extra:
+                errors.append(f"users[{i}]: unknown key(s) {sorted(extra)}")
+                continue
+            if not {"x", "y"} <= set(entry):
+                errors.append(f"users[{i}] needs 'x' and 'y'")
+                continue
+            vals = {}
+            for key, kind in (("uid", "int"), ("x", "float"), ("y", "float")):
+                if key in entry:
+                    ok, val = _coerce(f"users[{i}]", key, kind, entry[key], 1.0, errors)
+                    if ok:
+                        vals[key] = val
+            if len(vals) == len(entry):  # every key passed its check
+                users.append(UserEquipment(vals.get("uid", i), vals["x"], vals["y"]))
     else:
         errors.append(f"users must be a count or a list, got {users_doc!r}")
 
     if "time_total_s" in doc:
         total = doc["time_total_s"]
-        tg = parts["time"]
+        tg = sc.time
         if isinstance(total, bool) or not isinstance(total, (int, float)):
             errors.append(f"time_total_s must be a number, got {total!r}")
         elif abs(float(total) - tg.total_s) > 1e-9 * max(1.0, tg.total_s):
@@ -195,20 +199,8 @@ def load_scenario(source=None) -> Scenario:
     if errors:
         raise ScenarioError(errors)
 
-    sc = Scenario(
-        users=users,
-        drones=drones,
-        pd_pool=pd_pool,
-        seed=seed,
-        bounds=parts["area"],
-        channel=parts["channel"],
-        energy=parts["energy"],
-        pd_energy=parts["pd_energy"],
-        battery=parts["battery"],
-        time=parts["time"],
-        rates=parts["rates"],
-        search=parts["search"],
-        permissive_depletion=permissive,
+    sc = dataclasses.replace(
+        sc, users=users, drones=drones, pd_pool=pd_pool, seed=seed, permissive_depletion=permissive
     )
     structural = sc.validate()
     if structural:
@@ -226,12 +218,8 @@ def serialize_scenario(sc: Scenario) -> dict:
         "users": [{"uid": ue.uid, "x": ue.x, "y": ue.y} for ue in sc.users],
         "time_total_s": sc.time.total_s,
     }
-    for section, (cls, mapping) in _SECTIONS.items():
-        obj = {
-            "area": sc.bounds, "channel": sc.channel, "energy": sc.energy,
-            "pd_energy": sc.pd_energy, "battery": sc.battery, "time": sc.time,
-            "rates": sc.rates, "search": sc.search,
-        }[section]
+    for section, (attr, _, mapping) in _SECTIONS.items():
+        obj = getattr(sc, attr)
         sec = {}
         for key, (field, scale) in mapping.items():
             val = getattr(obj, field)

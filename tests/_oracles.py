@@ -7,6 +7,8 @@ fractions, rates by direct evaluation of log2(1 + signal/interference).
 Only the two-user, two-subchannel shape is supported; that is the largest
 shape where the grid stays exhaustive at useful resolution.
 
+`coupling_admits` is the product form of the binary-power coupling, the
+referee of the linearized form the audit checks powers against.
 The surrogate checks share `random_binaries` and `interference_term`, the
 true interference log-term taken from the channel model's interference
 table rather than from the solver's packed view. `loop_struct` builds the
@@ -84,6 +86,15 @@ def grid_oracle(gains, rate_floor, max_power, noise, steps=200,
         if best is None or obj < best:
             best = float(obj)
     return best
+
+
+def coupling_admits(power, assoc, chan, max_power):
+    """Elementwise membership in the product-form coupling set
+    0 <= p <= assoc * chan * Pmax, the referee of the package's
+    linearized form."""
+    p = np.asarray(power, dtype=float)
+    ub = np.asarray(assoc, dtype=float)[:, :, None] * np.asarray(chan, dtype=float) * max_power
+    return (p >= 0.0) & (p <= ub)
 
 
 def random_binaries(rng, U, D, M):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import draw_tight_instance, grid_oracle, interference_term, random_binaries
+from _oracles import coupling_admits, draw_tight_instance, grid_oracle, interference_term, random_binaries
 from dronegrid import (
     EnergyParams,
     RateConstraintParams,
@@ -28,7 +28,7 @@ from dronegrid import (
     subchannel_rate,
     user_rates,
 )
-from dronegrid.assign_power import coupling_admits, linearization_admits
+from dronegrid.assign_power import linearization_admits
 from dronegrid.channel import ChannelParams
 
 SCENARIOS = sorted(Path(__file__).resolve().parent.parent.glob("demos/scenarios/*.json"))
@@ -86,13 +86,15 @@ def test_gate_1_formulas_match_closed_forms():
 
 
 def test_gate_2_linearized_set_is_the_product_set():
+    # linearization_admits is what Allocation.violations, and so the
+    # audit, checks powers against; the referee is the product form
     rng = np.random.default_rng(1002)
     pmax = 1.0
     for a_bit in (0, 1):
         for c_bit in (0, 1):
             assoc = np.full((1, 1), a_bit, dtype=np.int8)
             chan = np.full((1, 1, 1), c_bit, dtype=np.int8)
-            for p in rng.uniform(-0.5, 1.5, 1000):
+            for p in [*rng.uniform(-0.5, 1.5, 1000), 0.0, pmax, -0.0]:
                 tens = np.full((1, 1, 1), p)
                 assert bool(linearization_admits(tens, assoc, chan, pmax).all()) == bool(
                     coupling_admits(tens, assoc, chan, pmax).all()

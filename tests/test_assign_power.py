@@ -22,10 +22,8 @@ from dronegrid import (
     charge_decisions,
     check_backhaul,
     cli_main,
-    coupling_upper_bound,
     gain_table,
     interference_table,
-    linearization_admits,
     sca_rate_upper_bound,
     sinr_table,
     solve_allocation,
@@ -41,7 +39,6 @@ from dronegrid.assign_power import (
     _move_swap_candidates,
     _probe_start,
     _water_filling_power,
-    coupling_admits,
     retain_memo,
 )
 
@@ -173,39 +170,6 @@ def test_probe_is_the_limit_of_the_power_control_iteration():
     assert not feasible
     assert x[0] > 1.0 and x[1] < 1.0 and x[2] < 1.0 and x[1] + x[2] > 1.0
     assert violators == [0, 1, 2]
-
-
-def test_linearized_set_equals_product_set():
-    rng = np.random.default_rng(34)
-    pmax = 1.0
-    for a_bit in (0, 1):
-        for c_bit in (0, 1):
-            assoc = np.full((1, 1), a_bit, dtype=np.int8)
-            chan = np.full((1, 1, 1), c_bit, dtype=np.int8)
-            powers = rng.uniform(-0.5, 1.5, 1000)
-            for p in powers:
-                tens = np.full((1, 1, 1), p)
-                lin = bool(linearization_admits(tens, assoc, chan, pmax).all())
-                prod = bool(coupling_admits(tens, assoc, chan, pmax).all())
-                assert lin == prod
-            # boundary points agree too
-            for p in (0.0, pmax, -0.0):
-                tens = np.full((1, 1, 1), p)
-                assert bool(linearization_admits(tens, assoc, chan, pmax).all()) == bool(
-                    coupling_admits(tens, assoc, chan, pmax).all()
-                )
-
-
-def test_coupling_upper_bound_shape_and_values():
-    assoc = np.array([[1, 0], [0, 1]])
-    chan = np.zeros((2, 2, 3), dtype=int)
-    chan[0, 0, 1] = 1
-    chan[1, 1, 2] = 1
-    ub = coupling_upper_bound(assoc, chan, 0.7)
-    assert ub.shape == (2, 2, 3)
-    assert ub[0, 0, 1] == pytest.approx(0.7)
-    assert ub[1, 1, 2] == pytest.approx(0.7)
-    assert ub.sum() == pytest.approx(1.4)
 
 
 def test_single_user_single_channel_closed_form():
@@ -341,7 +305,7 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     gains = rng.uniform(1e-8, 1e-6, (5, 2))
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
     searched = []
-    for cfg in (SolverConfig(), SolverConfig(exhaustive_cap=0, swap_passes=0)):
+    for cfg in (SolverConfig(), SolverConfig(swap_passes=0)):
         calls.clear()
         _, _, (power, state) = assign_binaries(gains, rcp, cfg, NOISE)
         searched.append(len(calls))
@@ -361,7 +325,7 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
         assert _assignment_floor(*neighbour, pruned, rcp, NOISE) >= target
     for passes in (1, 2):
         calls.clear()
-        assoc, _, _ = assign_binaries(pruned, rcp, SolverConfig(exhaustive_cap=0, swap_passes=passes), NOISE)
+        assoc, _, _ = assign_binaries(pruned, rcp, SolverConfig(swap_passes=passes), NOISE)
         assert len(calls) == 1
         np.testing.assert_array_equal(assoc, deal[0])
     # no users: the one solve returns empty powers
@@ -406,7 +370,7 @@ def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
     monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
     gains = np.random.default_rng(40).uniform(1e-8, 1e-6, (5, 2))
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
-    cfg = SolverConfig(exhaustive_cap=0)
+    cfg = SolverConfig()
 
     def frozen(out):
         assoc, chan, (power, state) = out
@@ -433,7 +397,7 @@ def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
     nudged = gains.copy()
     nudged[0, 0] = np.nextafter(nudged[0, 0], 1.0)
     assign_binaries(nudged, rcp, cfg, NOISE, memo)
-    assign_binaries(gains, rcp, SolverConfig(swap_passes=0, exhaustive_cap=0), NOISE, memo)
+    assign_binaries(gains, rcp, SolverConfig(swap_passes=0), NOISE, memo)
     assert len(memo) == 3 and len(calls) > solves
     # the mission keeps only the entries at the gains it settled on
     retain_memo(memo, gains)
@@ -449,24 +413,28 @@ def test_greedy_prefers_the_stronger_drone():
     users = np.array([[-310.0, 5.0], [-290.0, -5.0], [310.0, 5.0], [290.0, -5.0]])
     gains = gain_table(drones, users, cp)
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
-    cfg = SolverConfig(exhaustive_cap=0, swap_passes=0)
+    cfg = SolverConfig(swap_passes=0)
     assoc, _, _ = assign_binaries(gains, rcp, cfg, NOISE)
     np.testing.assert_array_equal(assoc[:, 0], [1, 1, 0, 0])
     np.testing.assert_array_equal(assoc[:, 1], [0, 0, 1, 1])
 
 
-def test_local_search_rescues_greedy_misassignment():
+def test_local_search_rescues_greedy_misassignment(monkeypatch):
     # both users prefer drone 0 but it has a single subchannel, so greedy
     # hands user 1 (processed second, yet the one glued to drone 0) to the
     # far drone; that corner cannot clear the floor, the swapped pairing
-    # can, and the search must find it
+    # can, and the search must find it (4 options: enumerated unless the
+    # cap is lowered)
+    from dronegrid import assign_power
+
+    monkeypatch.setattr(assign_power, "_EXHAUSTIVE_CAP", 0)
     cp = ChannelParams(noise_power=1e-8)
     drones = np.array([[0.0, 0.0], [400.0, 0.0]])
     users = np.array([[60.0, 0.0], [10.0, 0.0]])
     gains = gain_table(drones, users, cp)
     rcp = RateConstraintParams(rate_floor=1.0, subchannels=1, max_power=1.0)
-    greedy_only = SolverConfig(exhaustive_cap=0, swap_passes=0)
-    searched = SolverConfig(exhaustive_cap=0, swap_passes=2)
+    greedy_only = SolverConfig(swap_passes=0)
+    searched = SolverConfig(swap_passes=2)
     with pytest.raises(RateInfeasibleError):
         solve_allocation(gains, rcp, greedy_only, 1e-8)
     alloc, state = solve_allocation(gains, rcp, searched, 1e-8)
@@ -475,14 +443,17 @@ def test_local_search_rescues_greedy_misassignment():
     assert rates.min() >= rcp.rate_floor - 1e-9
 
 
-def test_local_search_matches_exhaustive_on_tiny_instance():
+def test_local_search_matches_exhaustive_on_tiny_instance(monkeypatch):
+    from dronegrid import assign_power
+
     cp = ChannelParams(noise_power=1e-8)
     drones = np.array([[0.0, 0.0], [400.0, 0.0]])
     users = np.array([[60.0, 0.0], [10.0, 0.0]])
     gains = gain_table(drones, users, cp)
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=1, max_power=1.0)
-    _, searched = solve_allocation(gains, rcp, SolverConfig(exhaustive_cap=0, swap_passes=3), 1e-8)
-    _, exhaustive = solve_allocation(gains, rcp, SolverConfig(exhaustive_cap=100), 1e-8)
+    _, exhaustive = solve_allocation(gains, rcp, SolverConfig(), 1e-8)
+    monkeypatch.setattr(assign_power, "_EXHAUSTIVE_CAP", 0)
+    _, searched = solve_allocation(gains, rcp, SolverConfig(swap_passes=3), 1e-8)
     assert searched.objective == pytest.approx(exhaustive.objective, rel=1e-4)
 
 
@@ -567,9 +538,9 @@ def test_water_filling_power_per_user():
 @pytest.mark.parametrize(
     "U, D, M, cfg",
     [
-        (5, 2, 4, SolverConfig(exhaustive_cap=0, swap_passes=1)),
+        (5, 2, 4, SolverConfig(swap_passes=1)),
         # seed 1 accepts a swap, then searches again
-        (4, 2, 2, SolverConfig(exhaustive_cap=0, swap_passes=2)),
+        (4, 2, 2, SolverConfig(swap_passes=2)),
         (2, 2, 2, SolverConfig()),  # 36 options: enumerated
     ],
 )
@@ -626,23 +597,26 @@ def test_allocation_violations_catch_defects():
     power = np.zeros((2, 2, 2))
     power[0, 0, 0] = 0.2
     power[1, 1, 1] = 0.2
-    good = Allocation(assoc, chan, power, np.zeros(2, dtype=np.int8))
+    good = Allocation(assoc, chan, power)
     assert good.violations(rcp) == []
 
-    double = Allocation(np.ones((2, 2), dtype=np.int8), chan, power, np.zeros(2, dtype=np.int8))
+    double = Allocation(np.ones((2, 2), dtype=np.int8), chan, power)
     assert any("assoc" in v or "drone" in v for v in double.violations(rcp))
 
     stray = power.copy()
-    stray[0, 1, 1] = 0.1  # power outside the owned triple
-    bad_power = Allocation(assoc, chan, stray, np.zeros(2, dtype=np.int8))
-    assert bad_power.violations(rcp)
+    stray[0, 1, 1] = 0.1  # power outside the owned triple: one line, naming it
+    assert Allocation(assoc, chan, stray).violations(rcp) == [
+        "power outside the linearized coupling set at 1 triple(s), first "
+        "user 0 drone 1 subchannel 1: 0.1 W"
+    ]
 
     hot = power.copy()
-    hot[0, 0, 0] = 1.2  # beyond the per-drone cap
-    assert Allocation(assoc, chan, hot, np.zeros(2, dtype=np.int8)).violations(rcp)
-
-    greedy_charge = Allocation(assoc, chan, power, np.ones(2, dtype=np.int8))
-    assert greedy_charge.violations(rcp)
+    hot[0, 0, 0] = 1.2  # beyond the per-subchannel and per-drone caps
+    assert Allocation(assoc, chan, hot).violations(rcp) == [
+        "power outside the linearized coupling set at 1 triple(s), first "
+        "user 0 drone 0 subchannel 0: 1.2 W",
+        "drone 0 total power 1.2 exceeds cap 1.0",
+    ]
 
 
 def test_charge_decisions_threshold_gate():

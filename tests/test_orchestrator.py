@@ -1,10 +1,12 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dronegrid import (
+    Allocation,
     AreaBounds,
     DepletionError,
     EnergyParams,
@@ -113,6 +115,50 @@ def test_run_is_deterministic(tiny_run):
 def test_audit_clean_on_tiny_run(tiny_run):
     sc, res = tiny_run
     assert audit_run(sc, res) == []
+
+
+def test_audit_names_each_injected_defect_once():
+    # quick_look with the threshold raised above both drones' block-3
+    # start, so the scheduler charges one of two eligible drones there
+    doc = json.loads(QUICK_LOOK.read_text())
+    doc["battery"] = {"threshold_kj": 150.0}
+    sc = load_scenario(doc)
+    res = run_simulation(sc)
+    assert audit_run(sc, res) == []
+    last = res[-1]
+    assert last.block == 3 and last.charge.sum() == 1
+    assert (last.batteries_start <= sc.battery.threshold).all()
+
+    def audit_last(**changes):
+        return audit_run(sc, res[:-1] + [dataclasses.replace(last, **changes)])
+
+    # a stray watt on a triple the binaries leave unassigned
+    u, d, m = np.argwhere(last.alloc.chan == 0)[0]
+    power = last.alloc.power.copy()
+    power[u, d, m] = 1e-3
+    stray = Allocation(last.alloc.assoc, last.alloc.chan, power)
+    assert audit_last(alloc=stray) == [
+        f"block 3: power outside the linearized coupling set at 1 triple(s), first "
+        f"user {u} drone {d} subchannel {m}: 0.001 W"
+    ]
+
+    # the other eligible drone charged too, with both ledgers paying for it
+    other = int(np.nonzero(last.charge == 0)[0][0])
+    charge = last.charge.copy()
+    charge[other] = 1
+    batteries = last.batteries.copy()
+    batteries[other] += sc.battery.charge_per_block
+    assert audit_last(
+        charge=charge, batteries=batteries,
+        pd_battery=last.pd_battery - sc.battery.charge_per_block,
+    ) == ["block 3: drones [0, 1] charged in one block"]
+
+    # one battery a joule off its recursion
+    batteries = last.batteries.copy()
+    batteries[1] += 1.0
+    off = audit_last(batteries=batteries)
+    assert len(off) == 1 and off[0].startswith("block 3: drone 1 battery ")
+    assert "recursion value" in off[0]
 
 
 def test_zero_users_hover_only():

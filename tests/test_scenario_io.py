@@ -71,7 +71,7 @@ def test_integer_fields_follow_the_dataclasses():
     # the loader reads these from the fields' annotations
     integer = {("energy", "prop_count"), ("pd_energy", "prop_count"), ("time", "blocks"),
                ("rates", "subchannels"), ("search", "particles"), ("search", "max_refines")}
-    doc = {section: {key: 1.5 for key in mapping} for section, (_, mapping) in _SECTIONS.items()}
+    doc = {section: {key: 1.5 for key in mapping} for section, (_, _, mapping) in _SECTIONS.items()}
     with pytest.raises(ScenarioError) as err:
         load_scenario(doc)
     assert {e for e in err.value.errors if "integer" in e} == {
@@ -97,7 +97,7 @@ def test_readme_scenario_table_matches_the_loader():
             if row[2].startswith("same keys"):
                 listed[row[1]] = listed["energy"]
     assert set(listed) == set(_SECTIONS)
-    for section, (_, mapping) in _SECTIONS.items():
+    for section, (_, _, mapping) in _SECTIONS.items():
         assert listed[section] == set(mapping), section
 
 
@@ -148,6 +148,31 @@ def test_users_as_explicit_lists_and_objects():
         load_scenario({"users": [{"x": 1.0}]})
     with pytest.raises(ScenarioError):
         load_scenario({"users": [{"x": 1.0, "y": 2.0, "z": 3.0}]})
+
+
+def test_user_entries_are_type_checked_by_name():
+    # the same checks as section keys: no truncated ids, no booleans or
+    # strings taken for coordinates, in objects and in pairs alike
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"users": [
+            {"uid": 1.7, "x": 1.0, "y": 2.0},
+            {"x": True, "y": 2.0},
+            {"x": 1.0, "y": "5"},
+            {"uid": False, "x": 1.0, "y": 2.0},
+            [None, 2.0],
+            {"x": 1.0},
+        ]})
+    assert err.value.errors == [
+        "users[0].uid must be an integer, got 1.7",
+        "users[1].x must be a number, got True",
+        "users[2].y must be a number, got '5'",
+        "users[3].uid must be an integer, got False",
+        "users[4].x must be a number, got None",
+        "users[5] needs 'x' and 'y'",
+    ]
+    sc = load_scenario({"users": [{"uid": 4, "x": 1, "y": -2}, [3, 4.5]]})
+    assert [(u.uid, u.x, u.y) for u in sc.users] == [(4, 1.0, -2.0), (1, 3.0, 4.5)]
+    assert all(type(v) is float for u in sc.users for v in (u.x, u.y))
 
 
 def test_round_trip_serialization():
