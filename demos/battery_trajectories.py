@@ -11,12 +11,14 @@ Takes about a second: each mission is six blocks of placement search
 plus power optimization.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from dronegrid import load_scenario, run_simulation
 
 # the supported fleet
-sc = load_scenario("demos/scenarios/default.json")
+sc = load_scenario(str(Path(__file__).resolve().parent / "scenarios" / "default.json"))
 with_pd = run_simulation(sc)
 
 # the same fleet left on its own

@@ -9,15 +9,18 @@ by a standby unit carrying a fresh 400 kJ pack. This script traces that
 lifecycle on two fleets.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from dronegrid import load_scenario, run_simulation
 
-for path in ("demos/scenarios/default.json",
-             "demos/scenarios/three_drones_eight_users.json"):
-    sc = load_scenario(path)
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+for name in ("default.json", "three_drones_eight_users.json"):
+    sc = load_scenario(str(SCENARIOS / name))
     results = run_simulation(sc)
-    print(f"\n{path}  ({sc.drones} coverage drones, {len(sc.users)} users)")
+    print(f"\ndemos/scenarios/{name}  ({sc.drones} coverage drones, {len(sc.users)} users)")
     print("block  start kJ   end kJ  charges  swapped")
     for res in results[1:]:
         charges = int(res.charge.sum())

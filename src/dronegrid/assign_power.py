@@ -5,9 +5,9 @@ serves each user, hand each user at least one subchannel on that drone,
 and set per-subchannel transmit powers so every user clears its rate floor
 with the least total radiated power.
 
-The binary layer is combinatorial; small instances are enumerated
-outright, larger ones get a greedy assignment refined by a move/swap local
-search. For fixed binaries the power problem has concave-minus-concave
+The binary layer is combinatorial. It starts from a greedy assignment;
+small instances then try every other assignment, larger ones a move/swap
+local search. For fixed binaries the power problem has concave-minus-concave
 rate constraints, handled by successive convex approximation: the
 interference log-term is replaced with its first-order Taylor expansion at
 a reference point, which upper-bounds it everywhere (the log is concave),
@@ -757,35 +757,44 @@ def _probe_objective(assoc, chan, gains, rcp, noise_power):
     return float(np.sum(x)) if feasible else np.inf
 
 
-def _move_swap_candidates(assoc: np.ndarray, M: int):
-    """Deterministic neighbourhood: single-user re-associations first, then
-    pairwise drone exchanges between users on different drones."""
+def _neighbours(assoc: np.ndarray, M: int):
+    """Deterministic neighbourhood as (assoc, chan) pairs, channels dealt by
+    _deal_channels: single-user re-associations first, then pairwise drone
+    exchanges between users on different drones."""
     U, D = assoc.shape
     load = assoc.sum(axis=0)
     cur = assoc.argmax(axis=1)
     for u in range(U):
         for d2 in range(D):
             if d2 != cur[u] and load[d2] < M:
-                yield ("move", u, d2)
+                out = assoc.copy()
+                out[u] = 0
+                out[u, d2] = 1
+                yield out, _deal_channels(out, M)
     for u1 in range(U):
         for u2 in range(u1 + 1, U):
             if cur[u1] != cur[u2]:
-                yield ("swap", u1, u2)
+                out = assoc.copy()
+                out[u1], out[u2] = 0, 0
+                out[u1, cur[u2]] = 1
+                out[u2, cur[u1]] = 1
+                yield out, _deal_channels(out, M)
 
 
-def _apply_candidate(assoc: np.ndarray, cand, M: int):
-    out = assoc.copy()
-    if cand[0] == "move":
-        _, u, d2 = cand
-        out[u] = 0
-        out[u, d2] = 1
-    else:
-        _, u1, u2 = cand
-        d1, d2 = out[u1].argmax(), out[u2].argmax()
-        out[u1], out[u2] = 0, 0
-        out[u1, d2] = 1
-        out[u2, d1] = 1
-    return out, _deal_channels(out, M)
+def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power):
+    """(objective, assoc, chan, (power, state)) of the candidate binaries
+    with the lowest solved power strictly below bar, None if none gets
+    below it. Each win lowers the bar to its objective, so ties keep the
+    earlier candidate. Binaries whose _assignment_floor reaches the
+    running bar cannot win and are not solved."""
+    best = None
+    for assoc, chan in candidates:
+        if _assignment_floor(assoc, chan, gains, rcp, noise_power) >= bar:
+            continue
+        obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+        if obj is not None and obj < bar:
+            best, bar = (obj, assoc, chan, solved), obj
+    return best
 
 
 # Full power solves per local-search pass, spent on the candidates that the
@@ -813,21 +822,21 @@ def assign_binaries(
 ):
     """Choose association and subchannel indicators for the given gains.
 
-    Small instances (option count within _EXHAUSTIVE_CAP) are solved by
-    enumeration, larger ones by the greedy assignment and cfg.swap_passes
-    passes of local search. Returns (assoc, chan, (power, state)), the
-    last being what solve_power_given_binaries gave for the winning
-    binaries. Raises RateInfeasibleError if no assignment admits a
-    feasible power profile, and ValueError when U > D*M (some user could
-    never hold a subchannel).
+    The greedy deal is solved first; then small instances (option count
+    within _EXHAUSTIVE_CAP) try every other enumerated assignment, larger
+    ones run cfg.swap_passes passes of local search. Returns (assoc, chan,
+    (power, state)), the last being what solve_power_given_binaries gave
+    for the winning binaries. Raises RateInfeasibleError if no assignment
+    admits a feasible power profile, and ValueError when U > D*M (some
+    user could never hold a subchannel).
 
-    Both paths skip the power solve of binaries whose _assignment_floor
-    already reaches the objective they would have to beat strictly (the
-    enumeration's best so far; the incumbent less its 1e-9 acceptance
-    margin, or the pass's best candidate). The floor never exceeds the
-    solve's objective, so the solves skipped are exactly ones that could
-    not have won: the result is the same as without the floor. A pass
-    whose whole neighbourhood is floored out ends before the probe ranking.
+    Both paths keep the lowest power through one loop, _lowest_below: the
+    enumeration against the greedy objective, each pass on its
+    _SEARCH_BUDGET best probe-ranked neighbours against the incumbent less
+    its 1e-9 acceptance margin. Binaries whose _assignment_floor reaches
+    the running bar are not solved; the floor never exceeds the solve's
+    objective, so the result is the same as without it. A pass whose
+    whole neighbourhood is floored out ends before the probe ranking.
 
     The answer is a pure function of the arguments. memo, when given, is a
     dict the caller owns (run_simulation keeps one per mission): a call
@@ -862,66 +871,45 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
     benchmark's tracer counts is one call made by solve_allocation."""
     U, D = gains.shape
     M = rcp.subchannels
-    if U == 0:
-        assoc, chan = np.zeros((0, D), dtype=np.int8), np.zeros((0, D, M), dtype=np.int8)
-        return assoc, chan, solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
     if U > D * M:
         raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
 
+    assoc, chan = _greedy_binaries(gains, rcp)
+    obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+    if obj is None:
+        # kept to be raised if no other binaries are feasible; it names the
+        # users the greedy deal leaves below the floor
+        greedy_error, obj, solved = solved, math.inf, None
+
     n_options = D * ((1 << M) - 1)
     if n_options**U <= _EXHAUSTIVE_CAP:
-        best = None
-        greedy = _greedy_binaries(gains, rcp)
-        greedy_error = None
-        for assoc, chan in _enumerate_binaries(U, D, M):
-            if best is not None and _assignment_floor(assoc, chan, gains, rcp, noise_power) >= best[0]:
-                continue
-            obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
-            if obj is None:
-                if np.array_equal(assoc, greedy[0]) and np.array_equal(chan, greedy[1]):
-                    greedy_error = solved  # names the users the greedy deal leaves short
-                continue
-            if best is None or obj < best[0]:
-                best = (obj, assoc, chan, solved)
-        if best is None:
-            # nothing was pruned, so the greedy deal was enumerated and solved
+        # zero users give one combination, the greedy deal itself
+        others = (
+            (a2, c2) for a2, c2 in _enumerate_binaries(U, D, M)
+            if not (np.array_equal(a2, assoc) and np.array_equal(c2, chan))
+        )
+        best = _lowest_below(others, obj, gains, rcp, cfg, noise_power)
+        if best is None and solved is None:
             raise RateInfeasibleError(greedy_error.users, "every assignment is power-infeasible")
-        return best[1:]
+        return best[1:] if best else (assoc, chan, solved)
 
-    assoc, chan = _greedy_binaries(gains, rcp)
-    try:
-        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
-    except RateInfeasibleError as err:
-        # kept to be raised if the local search cannot rescue the corner;
-        # it names the users the greedy binaries leave below the floor
-        greedy_error, solved = err, None
-    obj = solved[1].objective if solved is not None else math.inf
     for _ in range(cfg.swap_passes):
         # a candidate is accepted only if its re-solved powers beat the
         # incumbent by a relative 1e-9; one whose floor reaches that cannot
         target = obj * (1 - 1e-9)
-        neighbours = [_apply_candidate(assoc, cand, M) for cand in _move_swap_candidates(assoc, M)]
+        neighbours = list(_neighbours(assoc, M))
         if not any(_assignment_floor(a2, c2, gains, rcp, noise_power) < target for a2, c2 in neighbours):
             break
         # rank the whole neighbourhood with the cheap probe, then spend the
-        # expensive full solves only on the most promising few
-        scored = [
-            (_probe_objective(a2, c2, gains, rcp, noise_power), k, a2, c2)
-            for k, (a2, c2) in enumerate(neighbours)
-        ]
-        scored.sort(key=lambda s: (s[0], s[1]))
-        best_cand, bar = None, target  # bar: the objective a candidate must undercut
-        for score, _, a2, c2 in scored[:_SEARCH_BUDGET]:
-            if not np.isfinite(score) and solved is not None:
-                break
-            if _assignment_floor(a2, c2, gains, rcp, noise_power) >= bar:
-                continue
-            obj2, solved2 = _objective_for(a2, c2, gains, rcp, cfg, noise_power)
-            if obj2 is not None and obj2 < bar:
-                best_cand, bar = (obj2, a2, c2, solved2), obj2
-        if best_cand is None:
+        # expensive full solves only on the most promising few; next to a
+        # feasible incumbent, a probe-infeasible candidate is not tried
+        probes = [_probe_objective(a2, c2, gains, rcp, noise_power) for a2, c2 in neighbours]
+        ranked = sorted(range(len(neighbours)), key=lambda k: (probes[k], k))[:_SEARCH_BUDGET]
+        tried = [neighbours[k] for k in ranked if solved is None or np.isfinite(probes[k])]
+        best = _lowest_below(tried, target, gains, rcp, cfg, noise_power)
+        if best is None:
             break
-        obj, assoc, chan, solved = best_cand
+        obj, assoc, chan, solved = best
     if solved is None:
         raise greedy_error
     return assoc, chan, solved

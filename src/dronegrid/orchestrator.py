@@ -110,7 +110,6 @@ class PdState:
     battery: float
     position: np.ndarray
     standby_left: int = 0
-    active: bool = True
 
 
 @dataclass
@@ -333,16 +332,19 @@ def run_simulation(sc: Scenario) -> list:
                 events.append(("below_threshold", f"drone{d}", new_batteries[d]))
 
         # powering-drone recursion: fly to the charge target (or hold), then
-        # subtract whatever it delivered
+        # subtract whatever it delivered; a target out of reach ends the run
         pd_battery = float("nan")
         pd_speed = 0.0
         if pd is not None:
             target_idx = np.nonzero(charge)[0]
             if target_idx.size:
                 target = new_positions[target_idx[0]]
+                disp = float(np.hypot(*(target - pd.position)))
                 pd_reach = sc.pd_energy.v_max * sc.time.move_s
-                disp = min(float(np.hypot(*(target - pd.position))), pd_reach)
-                pd_speed = disp / sc.time.move_s if sc.time.move_s > 0 else 0.0
+                if disp > pd_reach:
+                    raise SimulationError(f"block {n}: powering drone cannot reach drone {target_idx[0]}: "
+                                          f"{disp:.1f} m away, reach {pd_reach:.1f} m", results)
+                pd_speed = billed_speed(disp, sc.pd_energy, sc.time.move_s)
                 pd.position = target.copy()
             pd.battery = pd_battery_step(
                 pd.battery, pd_speed, int(charge.sum()), sc.pd_energy, sc.battery, sc.time

@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,19 +69,28 @@ def draw_users(count: int, bounds: AreaBounds, seed: int) -> list:
     return [UserEquipment(i, float(x), float(y)) for i, (x, y) in enumerate(pts)]
 
 
-def _coerce(section: str, key: str, kind: str, raw, scale: float, errors: list):
-    """Returns (ok, value); appends to errors when not ok. kind is the
-    field's annotation as written ("int" or "float"), which the parameter
-    modules keep as a string (postponed annotations)."""
+def _coerce(name: str, kind: str, raw, scale: float, errors: list):
+    """Returns (ok, value); when not ok, appends an error that calls the
+    value name. kind is the field's annotation as written ("int" or
+    "float"), which the parameter modules keep as a string (postponed
+    annotations). A float must be finite once scaled: JSON's NaN and
+    Infinity would slip past every range check, since NaN compares false."""
     if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
-            errors.append(f"{section}.{key} must be an integer, got {raw!r}")
+            errors.append(f"{name} must be an integer, got {raw!r}")
             return False, None
         return True, raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        errors.append(f"{section}.{key} must be a number, got {raw!r}")
+        errors.append(f"{name} must be a number, got {raw!r}")
         return False, None
-    return True, float(raw) * scale
+    try:
+        val = float(raw) * scale
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        errors.append(f"{name} must be a finite number, got {raw!r}")
+        return False, None
+    return True, val
 
 
 def _read_document(source) -> dict:
@@ -131,7 +141,7 @@ def load_scenario(source=None) -> Scenario:
                 errors.append(f"unknown key '{key}' in section '{section}'")
                 continue
             field, scale = mapping[key]
-            ok, val = _coerce(section, key, kinds[field], raw, scale, errors)
+            ok, val = _coerce(f"{section}.{key}", kinds[field], raw, scale, errors)
             if ok:
                 kwargs[field] = val
         try:
@@ -177,7 +187,7 @@ def load_scenario(source=None) -> Scenario:
             vals = {}
             for key, kind in (("uid", "int"), ("x", "float"), ("y", "float")):
                 if key in entry:
-                    ok, val = _coerce(f"users[{i}]", key, kind, entry[key], 1.0, errors)
+                    ok, val = _coerce(f"users[{i}].{key}", kind, entry[key], 1.0, errors)
                     if ok:
                         vals[key] = val
             if len(vals) == len(entry):  # every key passed its check
@@ -186,13 +196,11 @@ def load_scenario(source=None) -> Scenario:
         errors.append(f"users must be a count or a list, got {users_doc!r}")
 
     if "time_total_s" in doc:
-        total = doc["time_total_s"]
+        ok, total = _coerce("time_total_s", "float", doc["time_total_s"], 1.0, errors)
         tg = sc.time
-        if isinstance(total, bool) or not isinstance(total, (int, float)):
-            errors.append(f"time_total_s must be a number, got {total!r}")
-        elif abs(float(total) - tg.total_s) > 1e-9 * max(1.0, tg.total_s):
+        if ok and abs(total - tg.total_s) > 1e-9 * max(1.0, tg.total_s):
             errors.append(
-                f"time_total_s={total} inconsistent with blocks*block_s="
+                f"time_total_s={doc['time_total_s']} inconsistent with blocks*block_s="
                 f"{tg.total_s} ({tg.blocks} blocks x {tg.block_s} s)"
             )
 

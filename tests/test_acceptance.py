@@ -176,6 +176,15 @@ def test_gate_7_audit_passes_on_shipped_scenarios(scenario, tmp_path):
     assert code == 0
 
 
+def test_gate_7_sees_drone_motion_in_some_shipped_scenario():
+    # the audit's kinematics check compares displacement with billed speed,
+    # which a fleet that never moves cannot fail
+    def moves(path):
+        return any(res.speeds.max() > 0 for res in run_simulation(load_scenario(str(path))))
+
+    assert any(moves(path) for path in SCENARIOS)
+
+
 def test_gate_8_reruns_are_byte_identical(tmp_path):
     quick = DEFAULT.parent / "quick_look.json"
     for tag in ("a", "b"):

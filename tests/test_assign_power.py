@@ -32,11 +32,10 @@ from dronegrid import (
     user_rates,
 )
 from dronegrid.assign_power import (
-    _apply_candidate,
     _assignment_floor,
     _build_struct,
     _greedy_binaries,
-    _move_swap_candidates,
+    _neighbours,
     _probe_start,
     _water_filling_power,
     retain_memo,
@@ -320,8 +319,7 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     pruned = np.random.default_rng(43).uniform(1e-8, 1e-6, (5, 2))
     deal = _greedy_binaries(pruned, rcp)
     target = real(*deal, pruned, rcp, SolverConfig(), NOISE)[1].objective * (1 - 1e-9)
-    for cand in _move_swap_candidates(deal[0], rcp.subchannels):
-        neighbour = _apply_candidate(deal[0], cand, rcp.subchannels)
+    for neighbour in _neighbours(deal[0], rcp.subchannels):
         assert _assignment_floor(*neighbour, pruned, rcp, NOISE) >= target
     for passes in (1, 2):
         calls.clear()
@@ -564,14 +562,28 @@ def test_floor_pruning_leaves_assign_binaries_unchanged(monkeypatch, U, D, M, cf
         assoc, chan, (power, state) = assign_binaries(gains, rcp, cfg, NOISE)
         return assoc.tobytes(), chan.tobytes(), power.tobytes(), state.objective_trace
 
+    floor_on = assign_power._assignment_floor
     runs, solves = [], []
-    for floor in (assign_power._assignment_floor, lambda *args: 0.0):
+    for floor in (floor_on, lambda *args: 0.0):
         monkeypatch.setattr(assign_power, "_assignment_floor", floor)
         calls.clear()
         runs.append([outcome(gains) for gains in instances])
         solves.append(len(calls))
     assert runs[0] == runs[1]
     assert solves[0] < solves[1]  # the floor did skip solves
+    if (D * ((1 << M) - 1)) ** U > assign_power._EXHAUSTIVE_CAP:
+        return
+    # enumerated: the greedy deal is solved first, and its objective is the
+    # bar from the start, so no binaries whose floor reaches it are solved
+    monkeypatch.setattr(assign_power, "_assignment_floor", floor_on)
+    for gains in instances:
+        calls.clear()
+        assign_binaries(gains, rcp, cfg, NOISE)
+        greedy = _greedy_binaries(gains, rcp)
+        assert [b.tobytes() for b in calls[0][:2]] == [b.tobytes() for b in greedy]
+        bar = real(*calls[0])[1].objective
+        assert len(calls) > 1
+        assert all(floor_on(a, c, gains, rcp, NOISE) < bar for a, c, *_ in calls[1:])
 
 
 def test_floor_pruning_leaves_the_mission_traces_unchanged(monkeypatch, tmp_path):

@@ -10,14 +10,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# battery_trajectories.py is left out: with matplotlib present it writes a
-# PNG into the checkout
-@pytest.mark.parametrize("demo", ["placement_search.py", "power_allocation.py", "pd_battery.py"])
-def test_demo_runs(demo):
+# each demo runs from an empty directory: it finds its scenarios next to
+# itself, and whatever it writes (battery_trajectories.py's PNG, when
+# matplotlib is present) stays out of the checkout
+@pytest.mark.parametrize(
+    "demo", ["placement_search.py", "power_allocation.py", "pd_battery.py", "battery_trajectories.py"]
+)
+def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -11,6 +11,7 @@ from dronegrid import (
     DepletionError,
     EnergyParams,
     PdDepletedError,
+    SimulationError,
     SolverConfig,
     TimeGrid,
     audit_run,
@@ -280,6 +281,22 @@ def test_pd_depletion_partial_record_keeps_the_pd_ledger():
         last.pd_battery_start, last.pd_speed, int(last.charge.sum()),
         sc.pd_energy, sc.battery, sc.time,
     )
+    assert audit_run(sc, err.value.results) == []
+
+
+def test_pd_target_beyond_its_reach_fails_by_name():
+    # on a 2 km square the sector centres sit 707 m from the middle, where
+    # a fresh powering drone starts, and it flies at most 600 m per block;
+    # block 5 charges drone 2 after a swap, so the run ends there, keeping
+    # blocks 0-4
+    sc = load_scenario({
+        "area": {"x_min": -1000.0, "x_max": 1000.0, "y_min": -1000.0, "y_max": 1000.0},
+        "time": {"blocks": 8},
+    })
+    with pytest.raises(SimulationError) as err:
+        run_simulation(sc)
+    assert str(err.value) == "block 5: powering drone cannot reach drone 2: 707.1 m away, reach 600.0 m"
+    assert [r.block for r in err.value.results] == [0, 1, 2, 3, 4]
     assert audit_run(sc, err.value.results) == []
 
 

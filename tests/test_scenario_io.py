@@ -115,6 +115,23 @@ def test_total_time_consistency_is_enforced():
     assert any("time_total_s" in e for e in err.value.errors)
 
 
+@pytest.mark.parametrize("doc, error", [
+    ('{"rates": {"max_power": NaN}}', "rates.max_power must be a finite number, got nan"),
+    ('{"rates": {"rate_floor": Infinity}}', "rates.rate_floor must be a finite number, got inf"),
+    ('{"channel": {"noise_power": NaN}}', "channel.noise_power must be a finite number, got nan"),
+    ('{"users": [[1.0, 2.0], [NaN, 0.0]]}', "users[1].x must be a finite number, got nan"),
+    ('{"time_total_s": NaN}', "time_total_s must be a finite number, got nan"),
+    # an integer beyond the float range, which float() cannot convert
+    (f'{{"rates": {{"max_power": {10**400}}}}}', f"rates.max_power must be a finite number, got {10**400}"),
+])
+def test_non_finite_numbers_fail_by_name(doc, error):
+    # JSON's NaN and Infinity parse as floats, and NaN passes every range
+    # check (its comparisons are false); each must fail where it is written
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.errors == [error]
+
+
 def test_structural_overload_is_rejected():
     with pytest.raises(ScenarioError) as err:
         load_scenario({"users": 30, "drones": 2, "rates": {"subchannels": 12}})
