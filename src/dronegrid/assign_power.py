@@ -656,7 +656,7 @@ def transmit_power_floor(gains: np.ndarray, rcp: RateConstraintParams, noise_pow
     """
     gains = np.asarray(gains, dtype=float)
     if gains.shape[0] == 0:
-        return 0.0  # no users (a fully grounded fleet also has no drones)
+        return 0.0  # no users
     held = [rcp.subchannels] * gains.shape[0]
     return _water_filling_power(held, gains.max(axis=1), rcp.rate_floor, noise_power)
 

@@ -73,7 +73,6 @@ class Scenario:
     time: TimeGrid = field(default_factory=TimeGrid)
     rates: RateConstraintParams = field(default_factory=RateConstraintParams)
     search: SearchConfig = field(default_factory=SearchConfig)
-    permissive_depletion: bool = False
 
     def __post_init__(self):
         if self.pd_energy is None:
@@ -82,6 +81,8 @@ class Scenario:
     def validate(self) -> list:
         """Structural checks; returns every failure, not just the first."""
         errors = []
+        if self.seed < 0:
+            errors.append(f"seed must be a nonnegative integer, got {self.seed}")
         if self.drones < 1:
             errors.append("drones must be at least 1")
         if self.pd_pool < 0:
@@ -114,7 +115,12 @@ class PdState:
 
 @dataclass
 class BlockResult:
-    """Everything observed during one block."""
+    """Everything observed during one block.
+
+    active_drones is all ones: every drone serves the whole mission, and a
+    depleted one ends the run (DepletionError). The field stays because the
+    benchmark worker (perfbench/mission.py) still reads it.
+    """
 
     block: int
     positions: np.ndarray
@@ -197,7 +203,8 @@ def run_simulation(sc: Scenario) -> list:
         raise ValueError("; ".join(errors))
 
     D = sc.drones
-    user_pos = np.array([[ue.x, ue.y] for ue in sc.users], dtype=float).reshape(len(sc.users), 2)
+    U = len(sc.users)
+    user_pos = np.array([[ue.x, ue.y] for ue in sc.users], dtype=float).reshape(U, 2)
     sectors = sector_partition(sc.bounds, D)
     centers = np.array([s.center for s in sectors])
     half_diag = sectors[0].diagonal / 2
@@ -218,7 +225,6 @@ def run_simulation(sc: Scenario) -> list:
 
     positions = centers.copy()
     batteries = np.full(D, sc.battery.initial)
-    active = np.ones(D, dtype=bool)
     results = [_initial_result(sc, centers, pd)]
     # assign_binaries' answers for this mission, reused wherever a block
     # solves the radio problem at gains solved before (see retain_memo below)
@@ -226,12 +232,6 @@ def run_simulation(sc: Scenario) -> list:
 
     for n in range(1, sc.time.blocks + 1):
         events = []
-        act_idx = np.nonzero(active)[0]
-        if len(sc.users) > 0 and act_idx.size * sc.rates.subchannels < len(sc.users):
-            raise SimulationError(
-                f"block {n}: {act_idx.size} active drones cannot carry {len(sc.users)} users",
-                results,
-            )
 
         # (i) powering-drone replacement
         pd_swapped = False
@@ -248,59 +248,39 @@ def run_simulation(sc: Scenario) -> list:
         pd_battery_start = pd.battery if pd else float("nan")
 
         # (ii) charge decision from start-of-block levels
-        charge = np.zeros(D, dtype=np.int8)
-        if pd is not None and act_idx.size:
-            sub = charge_decisions(batteries[act_idx], sc.battery, charge_rng)
-            charge[act_idx] = sub
+        charge = np.zeros(D, dtype=np.int8) if pd is None else charge_decisions(batteries, sc.battery, charge_rng)
         for d in np.nonzero(charge)[0]:
             events.append(("charge", f"drone{d}", sc.battery.charge_per_block))
 
-        # (iii) placement search over the active fleet
-        prev_act = positions[act_idx]
-        centers_act = centers[act_idx]
-
+        # (iii) placement search
         def evaluator(cand):
             return evaluate_particle(
-                cand, prev_act, user_pos, sc.channel, sc.energy, sc.time,
+                cand, positions, user_pos, sc.channel, sc.energy, sc.time,
                 sc.rates, PARTICLE_SOLVER, memo,
             )
 
-        best_act, evals, pruned = search_positions(
-            prev_act, centers_act, half_diag, evaluator, sc.search, sc.bounds, reach, place_rng,
+        new_positions, evals, pruned = search_positions(
+            positions, centers, half_diag, evaluator, sc.search, sc.bounds, reach, place_rng,
             bound=lambda cand: particle_floor(
-                cand, prev_act, user_pos, sc.channel, sc.energy, sc.time, sc.rates
+                cand, positions, user_pos, sc.channel, sc.energy, sc.time, sc.rates
             ),
         )
-        gains = gain_table(best_act, user_pos, sc.channel)
+        gains = gain_table(new_positions, user_pos, sc.channel)
         try:
-            alloc_act, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power, memo)
+            alloc, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power, memo)
         except RateInfeasibleError as err:
             raise SimulationError(f"block {n}: {err}", results) from err
         # keep only the chosen placement's answers: the next block's
         # incumbent stays there, and another placement recurs only by chance
         retain_memo(memo, gains)
 
-        new_positions = positions.copy()
-        new_positions[act_idx] = best_act
-
-        # scatter the active-fleet allocation back to full drone indexing
-        U = len(sc.users)
-        M = sc.rates.subchannels
-        assoc = np.zeros((U, D), dtype=np.int8)
-        chan = np.zeros((U, D, M), dtype=np.int8)
-        power = np.zeros((U, D, M))
-        assoc[:, act_idx] = alloc_act.assoc
-        chan[:, act_idx] = alloc_act.chan
-        power[:, act_idx] = alloc_act.power
-        alloc = Allocation(assoc, chan, power)
-
-        rate_vals = user_rates(power[:, act_idx, :], gains, sc.channel.noise_power) if U else np.zeros(0)
+        rate_vals = user_rates(alloc.power, gains, sc.channel.noise_power) if U else np.zeros(0)
         bh_ok, sum_rate = check_backhaul(rate_vals, sc.rates)
         if not bh_ok:
             events.append(("backhaul_exceeded", "network", sum_rate))
 
-        # (iv) battery recursions; a strict-mode depletion still completes
-        # the block's accounting, so the partial record obeys the ledgers
+        # (iv) battery recursions; a depletion still completes the block's
+        # accounting, so the partial record obeys the ledgers
         depleted = None
         speeds = np.zeros(D)
         hardware_j = np.zeros(D)
@@ -308,7 +288,7 @@ def run_simulation(sc: Scenario) -> list:
         transmit_j = np.zeros(D)
         batteries_start = batteries.copy()
         new_batteries = batteries.copy()
-        for d in act_idx:
+        for d in range(D):
             disp = float(np.hypot(*(new_positions[d] - positions[d])))
             speeds[d] = billed_speed(disp, sc.energy, sc.time.move_s)
             # block 1 additionally pays the approach flight: full speed for
@@ -316,18 +296,15 @@ def run_simulation(sc: Scenario) -> list:
             energy_speed = sc.energy.v_max if n == 1 else speeds[d]
             hardware_j[d] = hardware_energy(energy_speed, sc.energy, sc.time.move_s)
             hover_j[d] = hover_energy(sc.energy, sc.time)
-            tx_power = float(power[:, d, :].sum())
+            tx_power = float(alloc.power[:, d, :].sum())
             transmit_j[d] = tx_power * sc.time.block_s
             new_batteries[d] = cdbs_battery_step(
                 batteries[d], energy_speed, tx_power, bool(charge[d]),
                 sc.energy, sc.battery, sc.time,
             )
             if new_batteries[d] <= 0.0:
-                if sc.permissive_depletion:
-                    active[d] = False
-                    events.append(("drone_grounded", f"drone{d}", 0.0))
-                elif depleted is None:
-                    depleted = int(d)
+                if depleted is None:
+                    depleted = d
             elif new_batteries[d] <= sc.battery.threshold:
                 events.append(("below_threshold", f"drone{d}", new_batteries[d]))
 
@@ -370,7 +347,7 @@ def run_simulation(sc: Scenario) -> list:
             pd_swapped=pd_swapped,
             backhaul_ok=bh_ok,
             sum_rate=sum_rate,
-            active_drones=active.copy(),
+            active_drones=np.ones(D, dtype=bool),
             alloc=alloc,
             sca_iterations=sca.iteration,
             placement_evals=evals,
@@ -409,8 +386,7 @@ def audit_run(sc: Scenario, results: list) -> list:
                 )
         if res.user_rate_values.size:
             worst = float(res.user_rate_values.min())
-            served = res.active_drones.any()
-            if served and worst < sc.rates.rate_floor - 1e-9:
+            if worst < sc.rates.rate_floor - 1e-9:
                 violations.append(f"block {n}: user rate {worst:.9f} below the floor")
         for d in range(res.batteries.shape[0]):
             drain = res.hardware_j[d] + res.hover_j[d] + res.transmit_j[d]

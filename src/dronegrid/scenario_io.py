@@ -56,7 +56,7 @@ _SECTIONS = {
     "search": ("search", SearchConfig, _schema(SearchConfig)),
 }
 
-_TOP_KEYS = {"seed", "drones", "pd_pool", "users", "permissive_depletion", "time_total_s"} | set(_SECTIONS)
+_TOP_KEYS = {"seed", "drones", "pd_pool", "users", "time_total_s"} | set(_SECTIONS)
 
 
 def draw_users(count: int, bounds: AreaBounds, seed: int) -> list:
@@ -154,12 +154,9 @@ def load_scenario(source=None) -> Scenario:
     seed = doc.get("seed", sc.seed)
     drones = doc.get("drones", sc.drones)
     pd_pool = doc.get("pd_pool", sc.pd_pool)
-    permissive = doc.get("permissive_depletion", sc.permissive_depletion)
     for name, val, want in (("seed", seed, int), ("drones", drones, int), ("pd_pool", pd_pool, int)):
         if isinstance(val, bool) or not isinstance(val, want):
             errors.append(f"{name} must be an integer, got {val!r}")
-    if not isinstance(permissive, bool):
-        errors.append(f"permissive_depletion must be a boolean, got {permissive!r}")
 
     users_doc = doc.get("users", 12)
     users = []
@@ -168,7 +165,8 @@ def load_scenario(source=None) -> Scenario:
     elif isinstance(users_doc, int):
         if users_doc < 0:
             errors.append("users count cannot be negative")
-        elif isinstance(seed, int) and not isinstance(seed, bool):
+        elif isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
+            # a bad seed draws nobody; the checks below name it
             users = draw_users(users_doc, sc.bounds, seed)
     elif isinstance(users_doc, list):
         for i, entry in enumerate(users_doc):
@@ -207,9 +205,7 @@ def load_scenario(source=None) -> Scenario:
     if errors:
         raise ScenarioError(errors)
 
-    sc = dataclasses.replace(
-        sc, users=users, drones=drones, pd_pool=pd_pool, seed=seed, permissive_depletion=permissive
-    )
+    sc = dataclasses.replace(sc, users=users, drones=drones, pd_pool=pd_pool, seed=seed)
     structural = sc.validate()
     if structural:
         raise ScenarioError(structural)
@@ -222,7 +218,6 @@ def serialize_scenario(sc: Scenario) -> dict:
         "seed": sc.seed,
         "drones": sc.drones,
         "pd_pool": sc.pd_pool,
-        "permissive_depletion": sc.permissive_depletion,
         "users": [{"uid": ue.uid, "x": ue.x, "y": ue.y} for ue in sc.users],
         "time_total_s": sc.time.total_s,
     }

@@ -7,8 +7,10 @@ function would leave the traced benchmark without that span; the first
 test fails instead. The traced benchmark also checks that every particle
 score and every block makes one `solve_allocation` call and each of those
 one `assign_binaries` call; a cache or a shortcut placed around a hooked
-name would break that, and the second test fails instead. spans.py is
-loaded by path and not modified.
+name would break that, and the second test fails instead. The last test
+runs the benchmark's own worker once per workload, traced, so a removed
+field or name that the worker reads fails here too. spans.py and run.py
+are loaded by path and not modified.
 """
 
 import importlib
@@ -20,14 +22,19 @@ import pytest
 import dronegrid
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
+BENCH = ROOT / "perfbench"
+SPANS = BENCH / "spans.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("perfbench_spans", SPANS)
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in _spans().HOOKS])
@@ -47,3 +54,15 @@ def test_traced_mission_meets_the_counting_identities():
     evals = sum(res.placement_evals for res in results[1:])
     assert spans.identity_errors(m, evals) == []
     assert m["placement.evaluate_particle.calls"][0] == evals >= blocks
+
+
+@pytest.mark.parametrize("workload", ["flagship", "clustered", "dense_users"])
+def test_benchmark_worker_runs_each_workload(workload, tmp_path, monkeypatch):
+    # one traced pair of missions in the worker process, as the benchmark
+    # runs it; run.py imports its sibling modules by name
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = _load("perfbench_run", BENCH / "run.py")
+    _, worker = run.measure(run.workloads.build(workload, 1), 0, 1, spans=tmp_path / "spans.json")
+    assert run.check(worker) == []
+    assert run.per_layer(worker)[1] == []
+    assert [m["failed"] for m in worker["missions"]] == [0, 0]

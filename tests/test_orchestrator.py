@@ -300,11 +300,13 @@ def test_pd_target_beyond_its_reach_fails_by_name():
     assert audit_run(sc, err.value.results) == []
 
 
-def test_cdbs_depletion_partial_record_keeps_the_ledgers():
+@pytest.mark.parametrize("users", [0, 3])
+def test_cdbs_depletion_partial_record_keeps_the_ledgers(users):
     # the whole fleet runs dry in block 1: the record of that block still
-    # steps every drone and the powering drone
+    # steps every drone and the powering drone, and with users it still
+    # holds the block's allocation and serves every user at the floor
     sc = _mini({
-        "users": 0, "drones": 2, "time": {"blocks": 2},
+        "users": users, "drones": 2, "seed": 11, "time": {"blocks": 2},
         "battery": {"initial_kj": 30.0, "threshold_kj": 20.0},
     })
     with pytest.raises(DepletionError) as err:
@@ -316,6 +318,8 @@ def test_cdbs_depletion_partial_record_keeps_the_ledgers():
     assert last.pd_battery == pd_battery_step(
         last.pd_battery_start, last.pd_speed, 0, sc.pd_energy, sc.battery, sc.time,
     )
+    assert last.user_rate_values.shape == (users,)
+    assert last.user_rate_values == pytest.approx(np.full(users, sc.rates.rate_floor))
     assert audit_run(sc, err.value.results) == []
 
 
@@ -329,20 +333,6 @@ def test_cdbs_depletion_strict_aborts():
         run_simulation(sc)
     assert err.value.block == 1
     assert len(err.value.results) == 2  # initial row + the failing block
-
-
-def test_cdbs_depletion_permissive_grounds_and_continues():
-    sc = _mini({
-        "users": 0, "drones": 2, "permissive_depletion": True,
-        "time": {"blocks": 2},
-        "battery": {"initial_kj": 30.0, "threshold_kj": 20.0},
-        "pd_pool": 0,
-    })
-    res = run_simulation(sc)
-    assert len(res) == 3
-    assert not res[1].active_drones.any()
-    kinds = [e[0] for e in res[1].events]
-    assert kinds.count("drone_grounded") == 2
 
 
 def test_no_pd_scenario_has_no_pd_rows(tiny_run):
@@ -418,16 +408,6 @@ def test_scenario_validation_collects_errors():
 # solves reused across blocks (the assign_binaries memo of one mission)
 # ---------------------------------------------------------------------------
 
-def _grounding_scenario():
-    # both drones end block 1 below the threshold; block 2 charges one and
-    # grounds the other, so block 3 solves with one drone instead of two
-    return _mini({
-        "users": 3, "drones": 2, "seed": 11, "permissive_depletion": True,
-        "time": {"blocks": 3},
-        "battery": {"initial_kj": 40.0, "threshold_kj": 20.0, "charge_per_block_kj": 80.0},
-    })
-
-
 def _count_solves(monkeypatch):
     """Record 'block' at each placement search and 'solve' at each power solve."""
     from dronegrid import assign_power, orchestrator
@@ -458,24 +438,21 @@ def _solves_per_block(log):
     return blocks
 
 
-@pytest.mark.parametrize("scenario", ["quick_look", "grounding"])
+@pytest.mark.parametrize("scenario", ["quick_look", "clustered"])
 def test_each_block_equals_a_fresh_solve_at_its_gains(scenario):
-    sc = load_scenario(QUICK_LOOK) if scenario == "quick_look" else _grounding_scenario()
+    # quick_look holds its placement, so every block after the first is
+    # answered from the mission's memo; clustered moves every drone in
+    # block 1, to a placement the particle search chose
+    sc = load_scenario(QUICK_LOOK.with_name(f"{scenario}.json"))
     res = run_simulation(sc)
     users = np.array([ue.xy for ue in sc.users])
-    shapes = set()
-    for prev, cur in zip(res, res[1:]):
-        act = np.nonzero(prev.active_drones)[0]  # the fleet the block solved for
-        gains = gain_table(cur.positions[act], users, sc.channel)
-        shapes.add(gains.shape)
+    for cur in res[1:]:
+        gains = gain_table(cur.positions, users, sc.channel)
         alloc, sca = solve_allocation(gains, sc.rates, SolverConfig(), sc.channel.noise_power)
-        np.testing.assert_array_equal(cur.alloc.assoc[:, act], alloc.assoc)
-        np.testing.assert_array_equal(cur.alloc.chan[:, act], alloc.chan)
-        assert cur.alloc.power[:, act].tobytes() == alloc.power.tobytes()
+        np.testing.assert_array_equal(cur.alloc.assoc, alloc.assoc)
+        np.testing.assert_array_equal(cur.alloc.chan, alloc.chan)
+        assert cur.alloc.power.tobytes() == alloc.power.tobytes()
         assert cur.sca_iterations == sca.iteration
-    if scenario == "grounding":
-        assert shapes == {(3, 2), (3, 1)}
-        assert audit_run(sc, res) == []
 
 
 def test_a_fleet_holding_its_placement_solves_nothing_again(monkeypatch):

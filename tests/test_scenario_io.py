@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -52,18 +53,19 @@ def test_unknown_keys_are_named():
 @pytest.mark.parametrize("section, key", [
     ("battery", "big_m"), ("search", "seed"), ("search", "shrink_factor"),
     ("search", "init_radius"), ("solver", "inner_tol"), ("solver", "probe_iters"),
-    ("solver", "polish"),
+    ("solver", "polish"), ("permissive_depletion", None),
 ])
 def test_dropped_keys_fail_by_name(section, key):
     # older files may still carry these keys; they fail through the
     # unknown-key error, which names the key and its section, or names the
-    # section itself as a top-level key when the whole section was dropped
+    # section itself as a top-level key when the whole section (or a
+    # top-level scalar, given as key None) was dropped
     if section in _SECTIONS:
         expected = f"unknown key '{key}' in section '{section}'"
     else:
         expected = f"unknown key '{section}'"
     with pytest.raises(ScenarioError) as err:
-        load_scenario({section: {key: 1}})
+        load_scenario({section: True if key is None else {key: 1}})
     assert err.value.errors == [expected]
 
 
@@ -105,6 +107,20 @@ def test_type_errors_are_collected():
     with pytest.raises(ScenarioError) as err:
         load_scenario({"seed": "zero", "drones": 2.5, "time": {"blocks": "six"}})
     assert len(err.value.errors) == 3
+
+
+def test_negative_seed_fails_by_name():
+    # numpy's seeding would otherwise raise its own unnamed error, from the
+    # user draw at load time or from run_simulation's streams
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"seed": -1, "users": 3})
+    assert err.value.errors == ["seed must be a nonnegative integer, got -1"]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario({"seed": -1, "users": [[100.0, 100.0]]})
+    assert err.value.errors == ["seed must be a nonnegative integer, got -1"]
+    sc = dataclasses.replace(load_scenario({"users": [[100.0, 100.0]]}), seed=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        run_simulation(sc)
 
 
 def test_total_time_consistency_is_enforced():
@@ -327,6 +343,13 @@ def test_cli_bad_usage_exits_one(tmp_path, capsys):
     assert cli_main(["--bogus"]) == 1
     assert "unrecognized" in capsys.readouterr().err
     assert cli_main(["--seed", "not_an_int"]) == 1
+
+
+def test_cli_negative_seed_exits_one(tmp_path, capsys):
+    assert cli_main(["--seed", "-3", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "scenario error: seed must be a nonnegative integer, got -3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_invalid_scenario_exits_one(tmp_path, capsys):
