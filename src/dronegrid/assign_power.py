@@ -5,15 +5,15 @@ serves each user, hand each user at least one subchannel on that drone,
 and set per-subchannel transmit powers so every user clears its rate floor
 with the least total radiated power.
 
-The binary layer is combinatorial. It starts from a greedy assignment;
-small instances then try every other assignment, larger ones a move/swap
-local search. For fixed binaries the power problem has concave-minus-concave
-rate constraints, handled by successive convex approximation: the
-interference log-term is replaced with its first-order Taylor expansion at
-a reference point, which upper-bounds it everywhere (the log is concave),
-so each convexified problem is conservative: any feasible point of the
-approximation meets the true rate floors. Re-anchoring at each solution
-gives a non-increasing objective sequence.
+The binary layer is combinatorial. It starts from a greedy assignment and
+runs a local search over re-associations, drone swaps and splits of the
+subchannels between two drones. For fixed binaries the power problem has
+concave-minus-concave rate constraints, handled by successive convex
+approximation: the interference log-term is replaced with its first-order
+Taylor expansion at a reference point, which upper-bounds it everywhere
+(the log is concave), so each convexified problem is conservative: any
+feasible point of the approximation meets the true rate floors.
+Re-anchoring at each solution gives a non-increasing objective sequence.
 
 Each convexified problem (minimise the summed power subject to the
 surrogate rate floors, the per-drone caps and nonnegative powers) is
@@ -607,7 +607,7 @@ def solve_power_given_binaries(
                 )
             break
         obj = float(np.sum(x))
-        if obj > obj_prev + 1e-15 * max(1.0, obj_prev):
+        if obj > obj_prev * (1 + 1e-15):
             break  # anchor is already a fixed point; keep the incumbent
         accepted = x
         improvement = obj_prev - obj
@@ -681,13 +681,17 @@ def _assignment_floor(assoc, chan, gains, rcp: RateConstraintParams, noise_power
 # binary assignment
 # ---------------------------------------------------------------------------
 
-def _deal_channels(assoc: np.ndarray, M: int) -> np.ndarray:
+def _deal_channels(assoc: np.ndarray, M: int, split=()) -> np.ndarray:
     """Spread each drone's subchannels evenly over its users.
 
     Distinct subchannels within a drone (co-channel users of one drone jam
-    each other at full signal strength, which is never power-efficient);
-    all M handed out round-robin in user-index order since spreading a
-    fixed rate over more subchannels always lowers the power bill.
+    each other at full signal strength, which is never power-efficient),
+    handed out round-robin in user-index order. A drone deals all M, since
+    spreading a fixed rate over more subchannels lowers the power bill,
+    unless it is in the drone pair split: then the first deals only the
+    even subchannels and the second only the odd ones, so the pair's users
+    never share a subchannel and the pair trades bandwidth for
+    interference (Yu & Lui, IEEE Trans. Commun. 2006).
     """
     U, D = assoc.shape
     chan = np.zeros((U, D, M), dtype=np.int8)
@@ -695,9 +699,21 @@ def _deal_channels(assoc: np.ndarray, M: int) -> np.ndarray:
         users_d = np.nonzero(assoc[:, d])[0]
         if users_d.size == 0:
             continue
-        for m in range(M):
-            chan[users_d[m % users_d.size], d, m] = 1
+        subs = range(split.index(d), M, 2) if d in split else range(M)
+        for i, m in enumerate(subs):
+            chan[users_d[i % users_d.size], d, m] = 1
     return chan
+
+
+def _split_deals(assoc: np.ndarray, M: int):
+    """The split deals of an association, as (assoc, chan) pairs: one per
+    pair of busy drones (itertools.combinations order) whose halves can
+    give each of its users a subchannel, the first drone at most ceil(M/2)
+    users and the second at most floor(M/2)."""
+    load = assoc.sum(axis=0)
+    for pair in itertools.combinations(np.nonzero(load)[0].tolist(), 2):
+        if load[pair[0]] <= (M + 1) // 2 and load[pair[1]] <= M // 2:
+            yield assoc, _deal_channels(assoc, M, pair)
 
 
 def _greedy_binaries(gains: np.ndarray, rcp: RateConstraintParams):
@@ -711,30 +727,6 @@ def _greedy_binaries(gains: np.ndarray, rcp: RateConstraintParams):
         assoc[u, d] = 1
         load[d] += 1
     return assoc, _deal_channels(assoc, M)
-
-
-def _enumerate_binaries(U: int, D: int, M: int):
-    """All (assoc, chan) combinations: one drone per user, any nonempty
-    subchannel set, no subchannel handed out twice within a drone."""
-    options = [(d, mask) for d in range(D) for mask in range(1, 1 << M)]
-    for combo in itertools.product(options, repeat=U):
-        used = {}
-        clash = False
-        for u, (d, mask) in enumerate(combo):
-            if used.get(d, 0) & mask:
-                clash = True
-                break
-            used[d] = used.get(d, 0) | mask
-        if clash:
-            continue
-        assoc = np.zeros((U, D), dtype=np.int8)
-        chan = np.zeros((U, D, M), dtype=np.int8)
-        for u, (d, mask) in enumerate(combo):
-            assoc[u, d] = 1
-            for m in range(M):
-                if mask >> m & 1:
-                    chan[u, d, m] = 1
-        yield assoc, chan
 
 
 def _objective_for(assoc, chan, gains, rcp, cfg, noise_power):
@@ -804,14 +796,6 @@ def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power):
 # the floor.
 _SEARCH_BUDGET = 6
 
-# Instances with at most this many binary options are enumerated outright.
-# The enumeration is not a test aid: the acceptance gate's 5% band against
-# brute force relies on it, because the local search deals every drone all
-# M subchannels (_deal_channels) and so never tries an orthogonal split of
-# the subchannels across drones. Without it the solver misses that band on
-# 7 of the gate's 20 two-user instances and calls 3 of them infeasible.
-_EXHAUSTIVE_CAP = 100
-
 
 def assign_binaries(
     gains: np.ndarray,
@@ -822,21 +806,23 @@ def assign_binaries(
 ):
     """Choose association and subchannel indicators for the given gains.
 
-    The greedy deal is solved first; then small instances (option count
-    within _EXHAUSTIVE_CAP) try every other enumerated assignment, larger
-    ones run cfg.swap_passes passes of local search. Returns (assoc, chan,
-    (power, state)), the last being what solve_power_given_binaries gave
-    for the winning binaries. Raises RateInfeasibleError if no assignment
-    admits a feasible power profile, and ValueError when U > D*M (some
+    The greedy deal is solved first, then cfg.swap_passes passes of local
+    search, at every instance size. Returns (assoc, chan, (power, state)),
+    the last being what solve_power_given_binaries gave for the winning
+    binaries. Raises the greedy deal's RateInfeasibleError if the search
+    finds no feasible binaries either, and ValueError when U > D*M (some
     user could never hold a subchannel).
 
-    Both paths keep the lowest power through one loop, _lowest_below: the
-    enumeration against the greedy objective, each pass on its
-    _SEARCH_BUDGET best probe-ranked neighbours against the incumbent less
-    its 1e-9 acceptance margin. Binaries whose _assignment_floor reaches
-    the running bar are not solved; the floor never exceeds the solve's
-    objective, so the result is the same as without it. A pass whose
-    whole neighbourhood is floored out ends before the probe ranking.
+    A pass solves, through one loop (_lowest_below) and against the
+    incumbent less its 1e-9 acceptance margin, first the _SEARCH_BUDGET
+    best probe-ranked neighbours (_neighbours, every drone dealing all M
+    subchannels), then the split deals (_split_deals) of the incumbent and
+    of those neighbours, so ties keep the neighbour. A split deal is
+    solved only when its equal-split probe, a feasible profile, already
+    beats the bar. Binaries whose _assignment_floor reaches the running
+    bar are not solved; the floor never exceeds the solve's objective, so
+    the result is the same as without it. A neighbourhood whose floors
+    all reach the bar is not ranked.
 
     The answer is a pure function of the arguments. memo, when given, is a
     dict the caller owns (run_simulation keeps one per mission): a call
@@ -881,31 +867,28 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
         # users the greedy deal leaves below the floor
         greedy_error, obj, solved = solved, math.inf, None
 
-    n_options = D * ((1 << M) - 1)
-    if n_options**U <= _EXHAUSTIVE_CAP:
-        # zero users give one combination, the greedy deal itself
-        others = (
-            (a2, c2) for a2, c2 in _enumerate_binaries(U, D, M)
-            if not (np.array_equal(a2, assoc) and np.array_equal(c2, chan))
-        )
-        best = _lowest_below(others, obj, gains, rcp, cfg, noise_power)
-        if best is None and solved is None:
-            raise RateInfeasibleError(greedy_error.users, "every assignment is power-infeasible")
-        return best[1:] if best else (assoc, chan, solved)
-
     for _ in range(cfg.swap_passes):
         # a candidate is accepted only if its re-solved powers beat the
         # incumbent by a relative 1e-9; one whose floor reaches that cannot
         target = obj * (1 - 1e-9)
         neighbours = list(_neighbours(assoc, M))
-        if not any(_assignment_floor(a2, c2, gains, rcp, noise_power) < target for a2, c2 in neighbours):
-            break
-        # rank the whole neighbourhood with the cheap probe, then spend the
-        # expensive full solves only on the most promising few; next to a
-        # feasible incumbent, a probe-infeasible candidate is not tried
-        probes = [_probe_objective(a2, c2, gains, rcp, noise_power) for a2, c2 in neighbours]
-        ranked = sorted(range(len(neighbours)), key=lambda k: (probes[k], k))[:_SEARCH_BUDGET]
-        tried = [neighbours[k] for k in ranked if solved is None or np.isfinite(probes[k])]
+        ranked, tried = [], []
+        if any(_assignment_floor(a2, c2, gains, rcp, noise_power) < target for a2, c2 in neighbours):
+            # rank the whole neighbourhood with the cheap probe, then spend
+            # the expensive full solves only on the most promising few; next
+            # to a feasible incumbent, a probe-infeasible candidate is not tried
+            probes = [_probe_objective(a2, c2, gains, rcp, noise_power) for a2, c2 in neighbours]
+            ranked = sorted(range(len(neighbours)), key=lambda k: (probes[k], k))[:_SEARCH_BUDGET]
+            tried = [neighbours[k] for k in ranked if solved is None or np.isfinite(probes[k])]
+        # then the split deals of the incumbent and of the budgeted
+        # neighbours, each only when its equal-split probe is a feasible
+        # profile below target
+        for a2 in [assoc] + [neighbours[k][0] for k in ranked]:
+            tried += [
+                (a3, c3) for a3, c3 in _split_deals(a2, M)
+                if _assignment_floor(a3, c3, gains, rcp, noise_power) < target
+                and _probe_objective(a3, c3, gains, rcp, noise_power) < target
+            ]
         best = _lowest_below(tried, target, gains, rcp, cfg, noise_power)
         if best is None:
             break

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -34,9 +35,11 @@ from dronegrid import (
 from dronegrid.assign_power import (
     _assignment_floor,
     _build_struct,
+    _deal_channels,
     _greedy_binaries,
     _neighbours,
     _probe_start,
+    _split_deals,
     _water_filling_power,
     retain_memo,
 )
@@ -209,6 +212,33 @@ def test_sca_trace_never_increases():
             assert b <= a * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("subchannels", [1, 3])
+def test_sca_keeps_the_round_before_a_rise_on_a_tiny_objective(monkeypatch, subchannels):
+    # one user alone on a drone needs about 9.2e-14 W; a second round that
+    # returns its anchor raised by a relative 1e-6 must not be accepted,
+    # although the rise is far below 1e-15 W
+    from dronegrid import assign_power
+
+    real = assign_power._subproblem
+    anchors = []
+
+    def rising(st, y, rcp, gap=1.0):
+        anchors.append(y)
+        if len(anchors) == 2:
+            return y * (1 + 1e-6), True
+        return real(st, y, rcp, gap)
+
+    monkeypatch.setattr(assign_power, "_subproblem", rising)
+    rcp = RateConstraintParams(rate_floor=1e-3, subchannels=subchannels, max_power=10.0)
+    gains = np.full((1, 1), 7.5e-7)
+    assoc, chan = np.ones((1, 1), dtype=np.int8), np.ones((1, 1, subchannels), dtype=np.int8)
+    power, state = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), 1e-16)
+    assert len(anchors) == 2 and state.iteration == 2
+    assert state.objective_trace == [float(np.sum(anchors[1]))]
+    assert state.objective == pytest.approx(9.2e-14, rel=0.01)
+    assert np.array_equal(power[0, 0], anchors[1])
+
+
 def test_solved_rates_clear_the_floor():
     rng = np.random.default_rng(36)
     for _ in range(10):
@@ -246,7 +276,8 @@ def test_unsolvable_subproblem_names_a_user():
         solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), NOISE)
     assert err.value.users == (0,)
     assert "convexified subproblem unsolvable" in str(err.value)
-    # the enumeration reports the greedy deal's users in turn
+    # one drone leaves the search nothing to try, so assign_binaries
+    # raises the greedy deal's own error, naming the same user
     with pytest.raises(RateInfeasibleError) as err:
         solve_allocation(gains, rcp, SolverConfig(), NOISE)
     assert err.value.users == (0,)
@@ -341,18 +372,17 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     with pytest.raises(RateInfeasibleError) as greedy:
         real(*calls[0])
     assert str(err.value) == str(greedy.value)
-    # the same on the exhaustive path: each enumerated deal is solved once
-    # and the error names the users the greedy deal leaves short
+    # one drone: no neighbour and no split deal, so the greedy deal is the
+    # only binaries solved and its own error is raised
     calls.clear()
     tiny = np.full((2, 1), 1e-13)
     with pytest.raises(RateInfeasibleError) as err:
         solve_allocation(tiny, hopeless, SolverConfig(), NOISE)
-    solved = [(a.tobytes(), c.tobytes()) for a, c, *_ in calls]
-    assert len(calls) == 2 and len(set(solved)) == 2
+    assert len(calls) == 1
+    assert [b.tobytes() for b in calls[0][:2]] == [b.tobytes() for b in _greedy_binaries(tiny, hopeless)]
     with pytest.raises(RateInfeasibleError) as greedy:
-        real(*_greedy_binaries(tiny, hopeless), tiny, hopeless, SolverConfig(), NOISE)
-    assert err.value.users == greedy.value.users
-    assert str(err.value) == "rate floor unreachable for users [0, 1]: every assignment is power-infeasible"
+        real(*calls[0])
+    assert str(err.value) == str(greedy.value)
 
 
 def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
@@ -417,15 +447,11 @@ def test_greedy_prefers_the_stronger_drone():
     np.testing.assert_array_equal(assoc[:, 1], [0, 0, 1, 1])
 
 
-def test_local_search_rescues_greedy_misassignment(monkeypatch):
+def test_local_search_rescues_greedy_misassignment():
     # both users prefer drone 0 but it has a single subchannel, so greedy
     # hands user 1 (processed second, yet the one glued to drone 0) to the
     # far drone; that corner cannot clear the floor, the swapped pairing
-    # can, and the search must find it (4 options: enumerated unless the
-    # cap is lowered)
-    from dronegrid import assign_power
-
-    monkeypatch.setattr(assign_power, "_EXHAUSTIVE_CAP", 0)
+    # can, and the search must find it
     cp = ChannelParams(noise_power=1e-8)
     drones = np.array([[0.0, 0.0], [400.0, 0.0]])
     users = np.array([[60.0, 0.0], [10.0, 0.0]])
@@ -441,21 +467,28 @@ def test_local_search_rescues_greedy_misassignment(monkeypatch):
     assert rates.min() >= rcp.rate_floor - 1e-9
 
 
-def test_local_search_matches_exhaustive_on_tiny_instance(monkeypatch):
-    from dronegrid import assign_power
-
+def test_local_search_finds_the_better_of_two_assignments():
+    # one subchannel per drone puts the two users on different drones, so
+    # there are exactly two assignments; the search must end on the better
     cp = ChannelParams(noise_power=1e-8)
     drones = np.array([[0.0, 0.0], [400.0, 0.0]])
     users = np.array([[60.0, 0.0], [10.0, 0.0]])
     gains = gain_table(drones, users, cp)
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=1, max_power=1.0)
-    _, exhaustive = solve_allocation(gains, rcp, SolverConfig(), 1e-8)
-    monkeypatch.setattr(assign_power, "_EXHAUSTIVE_CAP", 0)
+    objectives = []
+    for assoc in (np.eye(2, dtype=np.int8), np.eye(2, dtype=np.int8)[::-1].copy()):
+        chan = assoc[:, :, None].copy()
+        try:
+            _, state = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), 1e-8)
+        except RateInfeasibleError:
+            continue
+        objectives.append(state.objective)
+    assert objectives
     _, searched = solve_allocation(gains, rcp, SolverConfig(swap_passes=3), 1e-8)
-    assert searched.objective == pytest.approx(exhaustive.objective, rel=1e-4)
+    assert searched.objective == pytest.approx(min(objectives), rel=1e-4)
 
 
-def test_exhaustive_matches_oracle_objective():
+def test_search_matches_oracle_objective():
     gains, rcp, obj, alloc = draw_tight_instance(
         7, RateConstraintParams,
         lambda g, r, n: solve_allocation(g, r, SolverConfig(), n),
@@ -465,6 +498,66 @@ def test_exhaustive_matches_oracle_objective():
     assert obj == pytest.approx(oracle, rel=0.05)
     rates = user_rates(alloc.power, gains, 1e-7)
     assert rates.min() >= rcp.rate_floor - 1e-9
+
+
+def test_local_search_splits_subchannels_between_drones():
+    # 4 users, 3 drones, 2 subchannels: giving drones 0 and 2 one
+    # subchannel each, instead of both to each drone, saves about 5% power
+    rng = np.random.default_rng([54, 77])
+    U, D, M = (int(v) for v in (rng.integers(3, 9), rng.integers(2, 5), rng.integers(2, 7)))
+    assert (U, D, M) == (4, 3, 2)
+    gains = rng.uniform(1e-8, 1e-6, (U, D))
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=M, max_power=1.0)
+    alloc, state = solve_allocation(gains, rcp, SolverConfig(), NOISE)
+    assert state.objective < 3.05e-4
+    held = alloc.chan.any(axis=0)  # (D, M): subchannels each drone deals
+    busy = np.nonzero(alloc.assoc.any(axis=0))[0]
+    assert any(not (held[d1] & held[d2]).any() for d1 in busy for d2 in busy if d1 < d2)
+    assert user_rates(alloc.power, gains, NOISE).min() >= rcp.rate_floor - 1e-9
+    assert not alloc.violations(rcp)
+
+
+def test_split_deals_hold_disjoint_halves():
+    rng = np.random.default_rng(44)
+    gains = rng.uniform(1e-8, 1e-6, (5, 3))
+    cases = [(_greedy_binaries(gains, RateConstraintParams(subchannels=4))[0], 4)]
+    for _ in range(50):
+        U, D = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        assoc = np.zeros((U, D), dtype=np.int8)
+        assoc[np.arange(U), rng.integers(0, D, U)] = 1
+        cases.append((assoc, int(rng.integers(1, 7))))
+    splits = 0
+    for assoc, M in cases:
+        U, D = assoc.shape
+        # no split: the deal is the plain one, byte for byte
+        plain = _deal_channels(assoc, M)
+        assert plain.tobytes() == _deal_channels(assoc, M, ()).tobytes()
+        # one deal per pair of busy drones whose halves hold their users
+        load = assoc.sum(axis=0)
+        pairs = [
+            (d1, d2) for d1, d2 in itertools.combinations(np.nonzero(load)[0], 2)
+            if load[d1] <= (M + 1) // 2 and load[d2] <= M // 2
+        ]
+        deals = list(_split_deals(assoc, M))
+        assert len(deals) == len(pairs)
+        for (a2, chan), (first, second) in zip(deals, pairs):
+            splits += 1
+            assert np.array_equal(a2, assoc)
+            held = chan.any(axis=0)  # (D, M): the subchannels each drone deals
+            assert not held[first, 1::2].any() and not held[second, ::2].any()
+            # every user still holds a subchannel, and no drone hands one out twice
+            assert (chan[np.arange(U), assoc.argmax(axis=1)].sum(axis=1) >= 1).all()
+            assert (chan.sum(axis=0) <= 1).all()
+            # drones outside the pair deal all M, as without the split
+            others = [d for d in range(D) if d not in (first, second)]
+            assert np.array_equal(chan[:, others], plain[:, others])
+    assert splits > 10
+    # nothing to split with one subchannel, or with a drone over its half
+    assert list(_split_deals(np.eye(2, dtype=np.int8), 1)) == []
+    crowded = np.zeros((8, 2), dtype=np.int8)
+    crowded[:7, 0] = crowded[7, 1] = 1  # 7 users for 6 even subchannels
+    assert list(_split_deals(crowded, 12)) == []
+    assert len(list(_split_deals(crowded[1:], 12))) == 1  # 6 fit
 
 
 # --- pruning: _assignment_floor bounds the power solve exactly ------------
@@ -539,7 +632,7 @@ def test_water_filling_power_per_user():
         (5, 2, 4, SolverConfig(swap_passes=1)),
         # seed 1 accepts a swap, then searches again
         (4, 2, 2, SolverConfig(swap_passes=2)),
-        (2, 2, 2, SolverConfig()),  # 36 options: enumerated
+        (2, 2, 2, SolverConfig()),  # small enough to split subchannels
     ],
 )
 def test_floor_pruning_leaves_assign_binaries_unchanged(monkeypatch, U, D, M, cfg):
@@ -571,19 +664,6 @@ def test_floor_pruning_leaves_assign_binaries_unchanged(monkeypatch, U, D, M, cf
         solves.append(len(calls))
     assert runs[0] == runs[1]
     assert solves[0] < solves[1]  # the floor did skip solves
-    if (D * ((1 << M) - 1)) ** U > assign_power._EXHAUSTIVE_CAP:
-        return
-    # enumerated: the greedy deal is solved first, and its objective is the
-    # bar from the start, so no binaries whose floor reaches it are solved
-    monkeypatch.setattr(assign_power, "_assignment_floor", floor_on)
-    for gains in instances:
-        calls.clear()
-        assign_binaries(gains, rcp, cfg, NOISE)
-        greedy = _greedy_binaries(gains, rcp)
-        assert [b.tobytes() for b in calls[0][:2]] == [b.tobytes() for b in greedy]
-        bar = real(*calls[0])[1].objective
-        assert len(calls) > 1
-        assert all(floor_on(a, c, gains, rcp, NOISE) < bar for a, c, *_ in calls[1:])
 
 
 def test_floor_pruning_leaves_the_mission_traces_unchanged(monkeypatch, tmp_path):
