@@ -18,7 +18,6 @@ from .assign_power import (
     charge_decisions,
     check_backhaul,
     linearization_admits,
-    sca_rate_upper_bound,
     solve_allocation,
     solve_power_given_binaries,
     transmit_power_floor,
@@ -115,7 +114,6 @@ __all__ = [
     "pd_battery_step",
     "rate_table",
     "run_simulation",
-    "sca_rate_upper_bound",
     "search_positions",
     "sector_partition",
     "serialize_scenario",

@@ -94,7 +94,8 @@ class ScaState:
     when the anchor is not strictly feasible). iteration counts the rounds
     run, including a failed one that sent the loop to the feasibility
     probe and one whose answer was rejected; objective_trace holds the
-    summed power of every accepted round.
+    summed power of every accepted round. converged is False only when
+    the round cap stopped the run.
     """
 
     iteration: int
@@ -248,20 +249,6 @@ def _build_struct(assoc, chan, gains, noise_power: float):
     agg = (users[:, None] == tu).astype(float)
     cap_mat = (np.arange(D)[:, None] == td).astype(float)
     return _Struct(tu, td, tm, gains[tu, td], den, agg, cap_mat, users, (U, D, M), noise_power)
-
-
-def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise_power: float) -> np.ndarray:
-    """The solver's surrogate of the interference term, on full tensors.
-
-    For every user holding a subchannel (in user order): the first-order
-    expansion around ref_power of the sum, over the user's subchannels, of
-    log2(interference + noise), evaluated at power. Only powers on the
-    triples that assoc and chan assign count. Concavity of log2 makes
-    this a global upper bound on the term, tight at ref_power.
-    """
-    st = _build_struct(assoc, chan, gains, noise_power)
-    lin, base = st.interference_bound(st.pack(ref_power))
-    return lin @ st.pack(power) + base
 
 
 # Constants of the log-barrier method that solves each convexified
@@ -544,6 +531,100 @@ _TILT = 1e-6
 _INIT_POWER = 0.1
 
 
+# Why an SCA run stopped: its tolerance test, its round cap, or a verdict
+# no further round can change (an increase break, a failed round after an
+# accepted one, or a RateInfeasibleError).
+_TOL, _CAP, _FINAL = "tol", "cap", "final"
+
+
+class _ScaRun:
+    """One SCA run for fixed binaries, resumable at a tighter config.
+
+    The loop's locals live here, so a run stopped by the tolerance test or
+    the round cap can go on under a smaller sca_tol or a larger
+    max_sca_iters. The rounds are deterministic, and a fresh run at such a
+    config passes through the same iterates and does not stop earlier, so
+    going on gives exactly its answer. tol is the sca_tol under which the
+    run last stopped.
+    """
+
+    def __init__(self, st: _Struct, gains: np.ndarray, rcp: RateConstraintParams):
+        self.st, self.gains, self.rcp = st, gains.copy(), rcp  # the caller may change its gains
+        # reference point: flat _INIT_POWER, shrunk where a drone's triple
+        # count would already break its cap, and tilted across subchannels
+        # by a relative _TILT (see there)
+        base = min(_INIT_POWER, rcp.max_power)
+        loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
+        self.tilt = 1.0 + _TILT * (st.tm + 1) / st.shape[2]
+        self.y = self.tilt * np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
+        self.trace = []
+        self.accepted = None
+        self.obj_prev = math.inf
+        self.improvement = math.inf
+        self.probed = False
+        self.gap = 1.0
+        self.it = 0
+        self.tol = math.inf
+        self.stop = None
+        self.error = None
+
+    def resumable(self, cfg: SolverConfig) -> bool:
+        """Whether a fresh run at cfg would not have stopped before this one."""
+        return cfg.sca_tol <= self.tol and cfg.max_sca_iters >= self.it
+
+    def advance(self, cfg: SolverConfig):
+        """Go on until cfg stops the run; (power, state) as a fresh run at
+        cfg returns them. Only a resumable cfg may be passed."""
+        if not (self.stop == _FINAL or self.stop == _TOL and self._settled(cfg)):
+            self.stop = self._rounds(cfg)
+        self.tol = cfg.sca_tol
+        if self.error is not None:
+            raise RateInfeasibleError(self.error.users, self.error.detail)
+        if self.accepted is None:
+            raise RateInfeasibleError(list(self.st.users), "no feasible iterate found")
+        state = ScaState(self.it, list(self.trace), converged=self.stop != _CAP)
+        return self.st.scatter(self.accepted), state
+
+    def _settled(self, cfg: SolverConfig) -> bool:
+        return self.improvement < cfg.sca_tol * max(self.obj_prev, 1e-300)
+
+    def _rounds(self, cfg: SolverConfig):
+        st, rcp = self.st, self.rcp
+        while self.it < cfg.max_sca_iters:
+            self.it += 1
+            x, ok = _subproblem(st, self.y, rcp, self.gap)
+            if not ok:
+                if not self.probed:
+                    self.probed = True
+                    px, feas, violators = _probe_start(st, rcp)
+                    if not feas:
+                        self.error = RateInfeasibleError(violators, "power demand exceeds the drone budget")
+                        return _FINAL
+                    self.y = self.tilt * px
+                    continue
+                if self.accepted is None:
+                    rates = user_rates(st.scatter(x), self.gains, st.noise)[st.users]
+                    bad = st.users[rates < rcp.rate_floor]
+                    # no user short at the failed iterate: name every user
+                    # that holds a triple, so the error always names someone
+                    self.error = RateInfeasibleError(
+                        bad if bad.size else st.users, "convexified subproblem unsolvable within tolerance"
+                    )
+                return _FINAL
+            obj = float(np.sum(x))
+            if obj > self.obj_prev * (1 + 1e-15):
+                return _FINAL  # anchor is already a fixed point; keep the incumbent
+            self.accepted = x
+            self.improvement = self.obj_prev - obj
+            self.trace.append(obj)
+            self.obj_prev = obj
+            self.y = x
+            self.gap = min(1.0, self.improvement / max(obj, 1e-300))
+            if self._settled(cfg):
+                return _TOL
+        return _CAP
+
+
 def solve_power_given_binaries(
     assoc: np.ndarray,
     chan: np.ndarray,
@@ -551,77 +632,42 @@ def solve_power_given_binaries(
     rcp: RateConstraintParams,
     cfg: SolverConfig = SolverConfig(),
     noise_power: float = 1e-10,
+    memo: dict | None = None,
 ):
     """Minimum-total-power profile for fixed binaries.
 
     Returns (power, state): power is the (U, D, M) tensor, state the SCA
     trace. Raises RateInfeasibleError when no profile within the caps can
     clear every floor, naming the violating users.
+
+    memo, when given, is assign_binaries' dict, and keeps one SCA run per
+    (rcp, assigned triples, noise_power, gains), the gains byte for byte.
+    A call at a config under which a fresh run would not have stopped
+    before the stored one (sca_tol no larger, max_sca_iters no smaller
+    than its rounds) goes on from where that run stopped, and gets
+    exactly the fresh run's answer, iteration count included; any other
+    call solves afresh and replaces the stored run. memo=None solves
+    every call.
     """
     assoc = np.asarray(assoc)
     chan = np.asarray(chan)
     gains = np.asarray(gains, dtype=float)
-    U, D = assoc.shape
-    M = chan.shape[2]
-    st = _build_struct(assoc, chan, gains, noise_power)
-
-    uncovered = np.setdiff1d(np.arange(U), st.users)
-    if uncovered.size and rcp.rate_floor > 0:
-        raise RateInfeasibleError(uncovered, "user holds no subchannel")
-    if st.n == 0 or rcp.rate_floor == 0.0:
-        state = ScaState(0, [0.0], converged=True)
-        return np.zeros((U, D, M)), state
-
-    # reference point: flat _INIT_POWER, shrunk where a drone's triple count
-    # would already break its cap, and tilted across subchannels by a
-    # relative _TILT (see there)
-    base = min(_INIT_POWER, rcp.max_power)
-    loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
-    tilt = 1.0 + _TILT * (st.tm + 1) / M
-    y = tilt * np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
-
-    trace = []
-    accepted = None
-    obj_prev = math.inf
-    probed = False
-    gap = 1.0
-    it = 0
-    while it < cfg.max_sca_iters:
-        it += 1
-        x, ok = _subproblem(st, y, rcp, gap)
-        if not ok:
-            if not probed:
-                probed = True
-                px, feas, violators = _probe_start(st, rcp)
-                if not feas:
-                    raise RateInfeasibleError(violators, "power demand exceeds the drone budget")
-                y = tilt * px
-                continue
-            if accepted is None:
-                rates = user_rates(st.scatter(x), gains, noise_power)[st.users]
-                bad = st.users[rates < rcp.rate_floor]
-                # no user short at the failed iterate: name every user that
-                # holds a triple, so the error always names someone
-                raise RateInfeasibleError(
-                    bad if bad.size else st.users, "convexified subproblem unsolvable within tolerance"
-                )
-            break
-        obj = float(np.sum(x))
-        if obj > obj_prev * (1 + 1e-15):
-            break  # anchor is already a fixed point; keep the incumbent
-        accepted = x
-        improvement = obj_prev - obj
-        trace.append(obj)
-        obj_prev = obj
-        y = x
-        gap = min(1.0, improvement / max(obj, 1e-300))
-        if improvement < cfg.sca_tol * max(obj, 1e-300):
-            break
-
-    if accepted is None:
-        raise RateInfeasibleError(list(st.users), "no feasible iterate found")
-    state = ScaState(it, trace, converged=it < cfg.max_sca_iters)
-    return st.scatter(accepted), state
+    key = run = None
+    if memo is not None:
+        held = (assoc[:, :, None] != 0) & (chan != 0)
+        key = (rcp, (held.shape, held.tobytes()), noise_power, gains.shape, gains.tobytes())
+        run = memo.get(key)
+    if run is None or not run.resumable(cfg):
+        st = _build_struct(assoc, chan, gains, noise_power)
+        uncovered = np.setdiff1d(np.arange(st.shape[0]), st.users)
+        if uncovered.size and rcp.rate_floor > 0:
+            raise RateInfeasibleError(uncovered, "user holds no subchannel")
+        if st.n == 0 or rcp.rate_floor == 0.0:
+            return np.zeros(st.shape), ScaState(0, [0.0], converged=True)
+        run = _ScaRun(st, gains, rcp)
+        if memo is not None:
+            memo[key] = run
+    return run.advance(cfg)
 
 
 def _water_filling_power(held, gains: np.ndarray, rate_floor: float, noise_power: float) -> float:
@@ -729,11 +775,11 @@ def _greedy_binaries(gains: np.ndarray, rcp: RateConstraintParams):
     return assoc, _deal_channels(assoc, M)
 
 
-def _objective_for(assoc, chan, gains, rcp, cfg, noise_power):
+def _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo):
     """(objective, (power, state)) of the power solve; (None, error) when
     the binaries are rate-infeasible."""
     try:
-        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power)
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power, memo)
     except RateInfeasibleError as err:
         return None, err
     return solved[1].objective, solved
@@ -773,7 +819,7 @@ def _neighbours(assoc: np.ndarray, M: int):
                 yield out, _deal_channels(out, M)
 
 
-def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power):
+def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power, memo):
     """(objective, assoc, chan, (power, state)) of the candidate binaries
     with the lowest solved power strictly below bar, None if none gets
     below it. Each win lowers the bar to its objective, so ties keep the
@@ -783,7 +829,7 @@ def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power):
     for assoc, chan in candidates:
         if _assignment_floor(assoc, chan, gains, rcp, noise_power) >= bar:
             continue
-        obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+        obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo)
         if obj is not None and obj < bar:
             best, bar = (obj, assoc, chan, solved), obj
     return best
@@ -824,44 +870,62 @@ def assign_binaries(
     the result is the same as without it. A neighbourhood whose floors
     all reach the bar is not ranked.
 
+    Raises RateInfeasibleError before any solve, naming them, when some
+    users cannot clear the floor even alone on all M subchannels of their
+    best drone at its full budget (_water_filling_power, less a relative
+    1e-9 for rounding).
+
     The answer is a pure function of the arguments. memo, when given, is a
     dict the caller owns (run_simulation keeps one per mission): a call
     whose inputs equal a stored call's exactly, the gains byte for byte,
     gets a copy of the stored answer instead of a solve. A rate-infeasible
-    input raises and is not stored. memo=None solves every call.
+    input raises and is not stored. The power solves keep their SCA runs
+    in the same dict (solve_power_given_binaries), so a solve of binaries
+    that a coarser config already solved at these gains, such as the
+    final allocation's greedy deal after the particle score at the same
+    placement, goes on from that run instead of starting again.
+    memo=None solves every call afresh.
     """
     gains = np.asarray(gains, dtype=float)
     if memo is None:
-        return _assign_binaries(gains, rcp, cfg, noise_power)
+        return _assign_binaries(gains, rcp, cfg, noise_power, None)
     key = (rcp, cfg, noise_power, gains.shape, gains.tobytes())
     if key in memo:
         return copy.deepcopy(memo[key])
-    out = _assign_binaries(gains, rcp, cfg, noise_power)
+    out = _assign_binaries(gains, rcp, cfg, noise_power, memo)
     memo[key] = copy.deepcopy(out)  # the caller may change what it gets
     return out
 
 
 def retain_memo(memo: dict, gains: np.ndarray) -> None:
-    """Drop every entry of an assign_binaries memo whose gains differ from
-    these in any byte; what stays is at most one entry per
-    (rcp, cfg, noise_power)."""
+    """Drop every entry of an assign_binaries memo, answer or SCA run,
+    whose gains differ from these in any byte; what stays is at most one
+    answer per (rcp, cfg, noise_power) and one run per (rcp, assigned
+    triples, noise_power)."""
     gains = np.asarray(gains, dtype=float)
     at = (gains.shape, gains.tobytes())
     for key in [k for k in memo if k[3:] != at]:
         del memo[key]
 
 
-def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig, noise_power: float):
-    """assign_binaries' solve, without the memo. A miss solves through this
-    and not through the public name, so each assign_binaries call the
-    benchmark's tracer counts is one call made by solve_allocation."""
+def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig, noise_power: float, memo):
+    """assign_binaries' solve, without the answer lookup (memo still holds
+    the SCA runs). A miss solves through this and not through the public
+    name, so each assign_binaries call the benchmark's tracer counts is
+    one call made by solve_allocation."""
     U, D = gains.shape
     M = rcp.subchannels
     if U > D * M:
         raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
+    # a user needs at least the water-filling power over all M subchannels
+    # of its best drone, and no drone carries more than max_power
+    need = _water_filling_power([M], np.ones(1), rcp.rate_floor, noise_power) / gains.max(axis=1)
+    short = np.nonzero(need * (1.0 - 1e-9) > rcp.max_power)[0]
+    if short.size:
+        raise RateInfeasibleError(short, "needs more than max_power even on every subchannel of its best drone")
 
     assoc, chan = _greedy_binaries(gains, rcp)
-    obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power)
+    obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo)
     if obj is None:
         # kept to be raised if no other binaries are feasible; it names the
         # users the greedy deal leaves below the floor
@@ -889,7 +953,7 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
                 if _assignment_floor(a3, c3, gains, rcp, noise_power) < target
                 and _probe_objective(a3, c3, gains, rcp, noise_power) < target
             ]
-        best = _lowest_below(tried, target, gains, rcp, cfg, noise_power)
+        best = _lowest_below(tried, target, gains, rcp, cfg, noise_power, memo)
         if best is None:
             break
         obj, assoc, chan, solved = best

@@ -11,9 +11,10 @@ shape where the grid stays exhaustive at useful resolution.
 referee of the linearized form the audit checks powers against.
 The surrogate checks share `random_binaries` and `interference_term`, the
 true interference log-term taken from the channel model's interference
-table rather than from the solver's packed view. `loop_struct` builds the
-solver's packed view of one instance with explicit loops, as the referee
-of its array construction. `slsqp_subproblem` solves one convexified
+table rather than from the solver's packed view; `sca_rate_upper_bound`
+is the side under test, the solver's own tangent bound on full tensors.
+`loop_struct` builds the solver's packed view of one instance with
+explicit loops, as the referee of its array construction. `slsqp_subproblem` solves one convexified
 power subproblem with scipy's SLSQP, as the referee of the package's
 log-barrier solver; it is the only user of scipy and reads the packed
 view it is given.
@@ -115,6 +116,24 @@ def interference_term(assoc, chan, power, gains, noise):
     log_inr = np.log2(interference_table(power, gains, noise))  # (U, M)
     held = (np.asarray(assoc)[:, :, None] * chan).sum(axis=1)  # (U, M)
     return (held * log_inr).sum(axis=1)
+
+
+def sca_rate_upper_bound(assoc, chan, power, ref_power, gains, noise):
+    """The solver's surrogate of the interference term, on full tensors.
+
+    For every user holding a subchannel (in user order): the first-order
+    expansion around ref_power of the sum, over the user's subchannels, of
+    log2(interference + noise), evaluated at power, computed by the
+    solver's packed view and tangent (`_build_struct`,
+    `_Struct.interference_bound`). Only powers on the triples that assoc
+    and chan assign count. Concavity of log2 makes this a global upper
+    bound on the term, tight at ref_power.
+    """
+    from dronegrid.assign_power import _build_struct
+
+    st = _build_struct(assoc, chan, gains, noise)
+    lin, base = st.interference_bound(st.pack(ref_power))
+    return lin @ st.pack(power) + base
 
 
 def loop_struct(assoc, chan, gains):

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import coupling_admits, draw_tight_instance, grid_oracle, interference_term, random_binaries
+from _oracles import (
+    coupling_admits,
+    draw_tight_instance,
+    grid_oracle,
+    interference_term,
+    random_binaries,
+    sca_rate_upper_bound,
+)
 from dronegrid import (
     EnergyParams,
     RateConstraintParams,
@@ -23,7 +30,6 @@ from dronegrid import (
     hover_power,
     load_scenario,
     run_simulation,
-    sca_rate_upper_bound,
     solve_allocation,
     subchannel_rate,
     user_rates,

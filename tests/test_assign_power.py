@@ -11,6 +11,7 @@ from _oracles import (
     interference_term,
     loop_struct,
     random_binaries,
+    sca_rate_upper_bound,
 )
 from dronegrid import (
     Allocation,
@@ -25,7 +26,6 @@ from dronegrid import (
     cli_main,
     gain_table,
     interference_table,
-    sca_rate_upper_bound,
     sinr_table,
     solve_allocation,
     solve_power_given_binaries,
@@ -361,12 +361,13 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     calls.clear()
     alloc, _ = solve_allocation(np.zeros((0, 2)), rcp, SolverConfig(), NOISE)
     assert len(calls) == 1 and alloc.power.shape == (0, 2, 4)
-    # nothing feasible: the greedy deal's own error is raised, and no
+    # nothing feasible, though every user alone could clear the floor on
+    # its best drone: the greedy deal's own error is raised, and no
     # binaries are solved twice on the way
     calls.clear()
     hopeless = RateConstraintParams(rate_floor=8.0, subchannels=2)
     with pytest.raises(RateInfeasibleError) as err:
-        solve_allocation(np.full((3, 2), 1e-13), hopeless, SolverConfig(), NOISE)
+        solve_allocation(np.full((3, 2), 1e-8), hopeless, SolverConfig(), NOISE)
     solved = [(a.tobytes(), c.tobytes()) for a, c, *_ in calls]
     assert len(calls) > 1 and len(set(solved)) == len(solved)
     with pytest.raises(RateInfeasibleError) as greedy:
@@ -375,7 +376,7 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     # one drone: no neighbour and no split deal, so the greedy deal is the
     # only binaries solved and its own error is raised
     calls.clear()
-    tiny = np.full((2, 1), 1e-13)
+    tiny = np.full((2, 1), 1e-8)
     with pytest.raises(RateInfeasibleError) as err:
         solve_allocation(tiny, hopeless, SolverConfig(), NOISE)
     assert len(calls) == 1
@@ -383,6 +384,42 @@ def test_solve_allocation_reuses_the_winners_powers(monkeypatch):
     with pytest.raises(RateInfeasibleError) as greedy:
         real(*calls[0])
     assert str(err.value) == str(greedy.value)
+
+
+def test_users_no_drone_can_serve_fail_before_any_solve(monkeypatch):
+    # at gain 1e-13 a rate of 8 over both subchannels of a drone needs
+    # 2 N (2^4 - 1) / g = 30 W alone, above the 1 W budget: the
+    # certificate names every such user and nothing is solved
+    from dronegrid import assign_power
+
+    calls = []
+    real = assign_power.solve_power_given_binaries
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assign_power, "solve_power_given_binaries", counting)
+    hopeless = RateConstraintParams(rate_floor=8.0, subchannels=2)
+    for gains, users in (
+        (np.full((3, 2), 1e-13), (0, 1, 2)),
+        (np.full((2, 1), 1e-13), (0, 1)),
+        # only user 1 is out of reach; the certificate names it alone
+        (np.array([[1e-8, 1e-9], [1e-13, 2e-13], [1e-9, 1e-8]]), (1,)),
+    ):
+        with pytest.raises(RateInfeasibleError) as err:
+            solve_allocation(gains, hopeless, SolverConfig(), NOISE)
+        assert calls == [] and err.value.users == users
+        assert "best drone" in err.value.detail
+    # a user that needs the whole budget passes the certificate (its margin
+    # is for rounding only) and the solver decides; one that needs 90% of
+    # it is served
+    rcp = RateConstraintParams(rate_floor=2.0, subchannels=1)
+    with pytest.raises(RateInfeasibleError) as err:
+        solve_allocation(np.array([[NOISE * 3.0 / rcp.max_power]]), rcp, SolverConfig(), NOISE)
+    assert len(calls) == 1 and "best drone" not in err.value.detail
+    alloc, _ = solve_allocation(np.array([[NOISE * 3.0 / (0.9 * rcp.max_power)]]), rcp, SolverConfig(), NOISE)
+    assert len(calls) == 2 and alloc.power.sum() == pytest.approx(0.9 * rcp.max_power, rel=1e-6)
 
 
 def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
@@ -404,12 +441,17 @@ def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
         assoc, chan, (power, state) = out
         return assoc.tobytes(), chan.tobytes(), power.tobytes(), state.iteration, list(state.objective_trace)
 
+    def answers(memo):
+        # the memo holds assign_binaries' answers, keyed by config, next
+        # to the power solves' SCA runs, keyed by binaries
+        return sum(isinstance(key[1], SolverConfig) for key in memo)
+
     memo = {}
     expect = frozen(assign_binaries(gains, rcp, cfg, NOISE))
     solves = len(calls)
     calls.clear()
     miss = assign_binaries(gains, rcp, cfg, NOISE, memo)
-    assert len(calls) == solves and len(memo) == 1
+    assert len(calls) == solves and answers(memo) == 1 and len(memo) == 1 + solves
     hit = assign_binaries(gains.copy(), rcp, cfg, NOISE, memo)
     assert len(calls) == solves  # the hit solved nothing
     # changing either answer changes neither the memo nor a later hit
@@ -426,12 +468,121 @@ def test_memo_answers_repeat_inputs_with_copies(monkeypatch):
     nudged[0, 0] = np.nextafter(nudged[0, 0], 1.0)
     assign_binaries(nudged, rcp, cfg, NOISE, memo)
     assign_binaries(gains, rcp, SolverConfig(swap_passes=0), NOISE, memo)
-    assert len(memo) == 3 and len(calls) > solves
-    # the mission keeps only the entries at the gains it settled on
+    assert answers(memo) == 3 and len(calls) > solves
+    # the mission keeps only the entries at the gains it settled on: the
+    # two answers there and the runs of the binaries solved there
     retain_memo(memo, gains)
-    assert len(memo) == 2
+    assert answers(memo) == 2 and len(memo) == 2 + solves
     retain_memo(memo, nudged)
     assert memo == {}
+
+
+def test_converged_is_false_only_when_the_cap_stops_the_run():
+    # with the defaults this run's tolerance test fires on round 9; a cap
+    # of 9 rounds lets it fire on the cap round, which is still convergence
+    gains = np.random.default_rng(40).uniform(1e-8, 1e-6, (5, 2))
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
+    deal = _greedy_binaries(gains, rcp)
+    power, state = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(), NOISE)
+    assert state.iteration == 9 and state.converged
+    capped = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(max_sca_iters=9), NOISE)
+    assert capped[0].tobytes() == power.tobytes()
+    assert capped[1].objective_trace == state.objective_trace and capped[1].converged
+    short = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(max_sca_iters=8), NOISE)[1]
+    assert short.iteration == 8 and not short.converged
+
+
+def _resume_case(name):
+    """(gains, rcp, binaries) of one SCA run to resume: the greedy deal."""
+    if name == "tolerance":
+        gains = np.random.default_rng(40).uniform(1e-8, 1e-6, (5, 2))
+        rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
+    elif name == "probe":
+        # the flat first anchor admits no feasible round; the equal-split
+        # probe restarts the run, which then converges after 21 rounds
+        rng = np.random.default_rng(192)
+        gains = rng.uniform(1e-8, 1e-6, (3, 2))
+        rcp = RateConstraintParams(rate_floor=float(rng.uniform(1, 6)), subchannels=2)
+    else:  # "infeasible": every user could clear the floor alone, not together
+        gains = np.full((3, 2), 1e-8)
+        rcp = RateConstraintParams(rate_floor=8.0, subchannels=2)
+    return gains, rcp, _greedy_binaries(gains, rcp)
+
+
+@pytest.mark.parametrize(
+    "name, first",
+    [
+        ("tolerance", SolverConfig(sca_tol=1e-3, max_sca_iters=12)),  # the particle score's
+        ("tolerance", SolverConfig(max_sca_iters=2)),  # stopped by the cap
+        ("probe", SolverConfig(max_sca_iters=1)),  # capped before any accepted round
+        ("probe", SolverConfig(sca_tol=1e-3, max_sca_iters=12)),
+        ("infeasible", SolverConfig(sca_tol=1e-3, max_sca_iters=12)),
+    ],
+)
+def test_a_resumed_run_equals_a_fresh_solve(monkeypatch, name, first):
+    # a default solve through a memo that holds a coarser run of the same
+    # binaries goes on from that run and gives the fresh solve's answer
+    # byte for byte, in fewer convexified subproblems
+    from dronegrid import assign_power
+
+    rounds = []
+    subproblem = assign_power._subproblem
+
+    def counting(*args):
+        rounds.append(1)
+        return subproblem(*args)
+
+    monkeypatch.setattr(assign_power, "_subproblem", counting)
+    gains, rcp, deal = _resume_case(name)
+
+    def outcome(cfg, memo=None):
+        rounds.clear()
+        try:
+            power, state = solve_power_given_binaries(*deal, gains, rcp, cfg, NOISE, memo)
+        except RateInfeasibleError as err:
+            return str(err), len(rounds)
+        return (power.tobytes(), state.iteration, list(state.objective_trace), state.converged), len(rounds)
+
+    fresh, fresh_rounds = outcome(SolverConfig())
+    memo = {}
+    _, first_rounds = outcome(first, memo)
+    resumed, resumed_rounds = outcome(SolverConfig(), memo)
+    assert resumed == fresh and len(memo) == 1
+    assert resumed_rounds == fresh_rounds - first_rounds < fresh_rounds
+    if name == "infeasible":
+        assert resumed_rounds == 0 and "drone budget" in resumed
+    # the settled run answers again without a round
+    assert outcome(SolverConfig(), memo) == (fresh, 0)
+
+
+def test_a_looser_config_after_a_tighter_one_solves_afresh():
+    gains, rcp, deal = _resume_case("tolerance")
+    coarse = SolverConfig(sca_tol=1e-3, max_sca_iters=12)
+
+    def outcome(cfg, memo=None):
+        power, state = solve_power_given_binaries(*deal, gains, rcp, cfg, NOISE, memo)
+        return power.tobytes(), state.iteration, list(state.objective_trace), state.converged
+
+    memo = {}
+    assert outcome(SolverConfig(), memo) == outcome(SolverConfig())
+    assert outcome(coarse, memo) == outcome(coarse)
+    # a cap below the stored run's rounds is looser too
+    assert outcome(SolverConfig(max_sca_iters=3), memo) == outcome(SolverConfig(max_sca_iters=3))
+    assert outcome(SolverConfig(), memo) == outcome(SolverConfig())
+
+
+def test_a_stored_run_hands_out_copies():
+    gains, rcp, deal = _resume_case("tolerance")
+    fresh = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(), NOISE)
+    memo = {}
+    for cfg in (SolverConfig(sca_tol=1e-3, max_sca_iters=12), SolverConfig(), SolverConfig()):
+        power, state = solve_power_given_binaries(*deal, gains, rcp, cfg, NOISE, memo)
+        power[:] = -1.0
+        state.iteration = -1
+        state.objective_trace.append(-1.0)
+    power, state = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(), NOISE, memo)
+    assert power.tobytes() == fresh[0].tobytes()
+    assert (state.iteration, state.objective_trace) == (fresh[1].iteration, fresh[1].objective_trace)
 
 
 def test_greedy_prefers_the_stronger_drone():

@@ -438,11 +438,13 @@ def _solves_per_block(log):
     return blocks
 
 
-@pytest.mark.parametrize("scenario", ["quick_look", "clustered"])
+@pytest.mark.parametrize("scenario", ["quick_look", "clustered", "default", "three_drones_eight_users"])
 def test_each_block_equals_a_fresh_solve_at_its_gains(scenario):
     # quick_look holds its placement, so every block after the first is
     # answered from the mission's memo; clustered moves every drone in
-    # block 1, to a placement the particle search chose
+    # block 1, to a placement the particle search chose. In every block
+    # the final solve's greedy deal goes on from the particle score's
+    # coarse SCA run, and must still equal a fresh solve
     sc = load_scenario(QUICK_LOOK.with_name(f"{scenario}.json"))
     res = run_simulation(sc)
     users = np.array([ue.xy for ue in sc.users])
@@ -469,25 +471,33 @@ def test_a_fleet_holding_its_placement_solves_nothing_again(monkeypatch):
 
 
 def test_no_answer_outlives_its_mission(monkeypatch):
-    from dronegrid import orchestrator
+    from dronegrid import assign_power, orchestrator
 
     log = _count_solves(monkeypatch)
-    kept = []
-    retain = orchestrator.retain_memo
+    kept, rounds = [], []
+    retain, subproblem = orchestrator.retain_memo, assign_power._subproblem
 
     def measuring_retain(memo, gains):
         retain(memo, gains)
-        kept.append(len(memo))
+        # answers are keyed by solver config, SCA runs by binaries
+        kept.append(sum(isinstance(key[1], SolverConfig) for key in memo))
+
+    def counting_subproblem(*args):
+        rounds.append(1)
+        return subproblem(*args)
 
     monkeypatch.setattr(orchestrator, "retain_memo", measuring_retain)
+    monkeypatch.setattr(assign_power, "_subproblem", counting_subproblem)
     sc = load_scenario(QUICK_LOOK)
     first = run_simulation(sc)
-    once = _solves_per_block(log)
+    once, once_rounds = _solves_per_block(log), len(rounds)
     # each block ends holding at most the particle and the final answer
     # at the chosen placement, however many particles it scored
     assert kept == [2] * sc.time.blocks
     log.clear()
+    rounds.clear()
     second = run_simulation(sc)
-    assert _solves_per_block(log) == once
+    # no answer and no SCA run carried over: every round is run again
+    assert _solves_per_block(log) == once and len(rounds) == once_rounds > 0
     for a, b in zip(first, second):
         assert a.alloc is None or a.alloc.power.tobytes() == b.alloc.power.tobytes()
