@@ -21,7 +21,6 @@ import numpy as np
 
 from dronegrid import (
     SearchConfig,
-    SolverConfig,
     evaluate_particle,
     load_scenario,
     particle_floor,
@@ -41,7 +40,7 @@ reach = sc.energy.v_max * sc.time.move_s
 
 def evaluator(cand):
     return evaluate_particle(cand, centers, users, sc.channel, sc.energy,
-                             sc.time, sc.rates, SolverConfig())
+                             sc.time, sc.rates)
 
 
 def floor(cand):

@@ -72,7 +72,8 @@ class RateConstraintParams:
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the allocation solver; a mission solves each block with
-    the defaults and scores placement candidates with coarser ones.
+    the defaults and scores placement candidates with coarser ones
+    (placement.PARTICLE_SOLVER).
 
     sca_tol: the SCA stops once a round lowers the summed power by less
         than this fraction of it.
@@ -540,12 +541,13 @@ _TOL, _CAP, _FINAL = "tol", "cap", "final"
 class _ScaRun:
     """One SCA run for fixed binaries, resumable at a tighter config.
 
-    The loop's locals live here, so a run stopped by the tolerance test or
-    the round cap can go on under a smaller sca_tol or a larger
-    max_sca_iters. The rounds are deterministic, and a fresh run at such a
-    config passes through the same iterates and does not stop earlier, so
-    going on gives exactly its answer. tol is the sca_tol under which the
-    run last stopped.
+    The loop's locals live here, so a run that did not end for good can
+    go on under a smaller sca_tol or a larger max_sca_iters. Each round
+    starts with the one stop test: the tolerance, then the round cap. The
+    rounds are deterministic, and a fresh run at such a config passes
+    through the same iterates and does not stop earlier, so going on gives
+    exactly its answer. tol is the sca_tol under which the run last
+    stopped.
     """
 
     def __init__(self, st: _Struct, gains: np.ndarray, rcp: RateConstraintParams):
@@ -568,14 +570,11 @@ class _ScaRun:
         self.stop = None
         self.error = None
 
-    def resumable(self, cfg: SolverConfig) -> bool:
-        """Whether a fresh run at cfg would not have stopped before this one."""
-        return cfg.sca_tol <= self.tol and cfg.max_sca_iters >= self.it
-
     def advance(self, cfg: SolverConfig):
         """Go on until cfg stops the run; (power, state) as a fresh run at
-        cfg returns them. Only a resumable cfg may be passed."""
-        if not (self.stop == _FINAL or self.stop == _TOL and self._settled(cfg)):
+        cfg returns them. cfg must not be looser than the last one
+        (sca_tol no larger than tol, max_sca_iters no smaller than it)."""
+        if self.stop != _FINAL:
             self.stop = self._rounds(cfg)
         self.tol = cfg.sca_tol
         if self.error is not None:
@@ -585,12 +584,13 @@ class _ScaRun:
         state = ScaState(self.it, list(self.trace), converged=self.stop != _CAP)
         return self.st.scatter(self.accepted), state
 
-    def _settled(self, cfg: SolverConfig) -> bool:
-        return self.improvement < cfg.sca_tol * max(self.obj_prev, 1e-300)
-
     def _rounds(self, cfg: SolverConfig):
         st, rcp = self.st, self.rcp
-        while self.it < cfg.max_sca_iters:
+        while True:
+            if self.improvement < cfg.sca_tol * max(self.obj_prev, 1e-300):
+                return _TOL
+            if self.it >= cfg.max_sca_iters:
+                return _CAP
             self.it += 1
             x, ok = _subproblem(st, self.y, rcp, self.gap)
             if not ok:
@@ -620,9 +620,6 @@ class _ScaRun:
             self.obj_prev = obj
             self.y = x
             self.gap = min(1.0, self.improvement / max(obj, 1e-300))
-            if self._settled(cfg):
-                return _TOL
-        return _CAP
 
 
 def solve_power_given_binaries(
@@ -640,34 +637,38 @@ def solve_power_given_binaries(
     trace. Raises RateInfeasibleError when no profile within the caps can
     clear every floor, naming the violating users.
 
-    memo, when given, is assign_binaries' dict, and keeps one SCA run per
-    (rcp, assigned triples, noise_power, gains), the gains byte for byte.
-    A call at a config under which a fresh run would not have stopped
-    before the stored one (sca_tol no larger, max_sca_iters no smaller
-    than its rounds) goes on from where that run stopped, and gets
-    exactly the fresh run's answer, iteration count included; any other
-    call solves afresh and replaces the stored run. memo=None solves
-    every call.
+    memo is assign_binaries' dict (a call without one gets a fresh one),
+    and keeps one SCA run per (rcp, assigned triples, noise_power, gains),
+    the gains byte for byte. A stored run is replaced by a fresh one when
+    cfg is looser than the config it last stopped under (a larger sca_tol
+    or a max_sca_iters below its rounds); otherwise the call goes on from
+    where it stopped and gets exactly a fresh run's answer, iteration
+    count included.
     """
+    memo = {} if memo is None else memo
     assoc = np.asarray(assoc)
     chan = np.asarray(chan)
     gains = np.asarray(gains, dtype=float)
-    key = run = None
-    if memo is not None:
-        held = (assoc[:, :, None] != 0) & (chan != 0)
-        key = (rcp, (held.shape, held.tobytes()), noise_power, gains.shape, gains.tobytes())
-        run = memo.get(key)
-    if run is None or not run.resumable(cfg):
+    held = (assoc[:, :, None] != 0) & (chan != 0)
+    key = (rcp, (held.shape, held.tobytes()), noise_power, gains.shape, gains.tobytes())
+    run = memo.get(key)
+    if run is None or cfg.sca_tol > run.tol or cfg.max_sca_iters < run.it:
         st = _build_struct(assoc, chan, gains, noise_power)
         uncovered = np.setdiff1d(np.arange(st.shape[0]), st.users)
         if uncovered.size and rcp.rate_floor > 0:
             raise RateInfeasibleError(uncovered, "user holds no subchannel")
         if st.n == 0 or rcp.rate_floor == 0.0:
             return np.zeros(st.shape), ScaState(0, [0.0], converged=True)
-        run = _ScaRun(st, gains, rcp)
-        if memo is not None:
-            memo[key] = run
+        run = memo[key] = _ScaRun(st, gains, rcp)
     return run.advance(cfg)
+
+
+# Factor that shrinks every water-filling power floor. The solver's answer
+# is strictly interior to a conservative surrogate, so its summed power
+# sits at or above the exact floor up to rounding of about 1e-13; the
+# relative 1e-9 covers that and the floor's own rounding, so a shrunk
+# floor stays below a solved power, and below a budget one can meet.
+FLOOR_MARGIN = 1.0 - 1e-9
 
 
 def _water_filling_power(held, gains: np.ndarray, rate_floor: float, noise_power: float) -> float:
@@ -711,16 +712,12 @@ def _assignment_floor(assoc, chan, gains, rcp: RateConstraintParams, noise_power
     """Lower bound on solve_power_given_binaries' objective for these binaries.
 
     The water-filling power of every user over the subchannels it holds
-    on its drone, shrunk by a relative 1e-9. The solver's answer is
-    strictly interior to a conservative surrogate, so its true rates clear
-    every floor up to rounding of about 1e-13 and its summed power sits at
-    or above the exact floor to the same order; the margin covers that
-    rounding and the floor's own, as in placement.particle_floor.
+    on its drone, shrunk by FLOOR_MARGIN.
     """
     users = np.arange(assoc.shape[0])
     drone = np.asarray(assoc).argmax(axis=1)
     held = np.asarray(chan)[users, drone].sum(axis=1).tolist()
-    return _water_filling_power(held, gains[users, drone], rcp.rate_floor, noise_power) * (1.0 - 1e-9)
+    return _water_filling_power(held, gains[users, drone], rcp.rate_floor, noise_power) * FLOOR_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -872,29 +869,26 @@ def assign_binaries(
 
     Raises RateInfeasibleError before any solve, naming them, when some
     users cannot clear the floor even alone on all M subchannels of their
-    best drone at its full budget (_water_filling_power, less a relative
-    1e-9 for rounding).
+    best drone at its full budget (_water_filling_power, shrunk by
+    FLOOR_MARGIN).
 
-    The answer is a pure function of the arguments. memo, when given, is a
-    dict the caller owns (run_simulation keeps one per mission): a call
-    whose inputs equal a stored call's exactly, the gains byte for byte,
-    gets a copy of the stored answer instead of a solve. A rate-infeasible
-    input raises and is not stored. The power solves keep their SCA runs
-    in the same dict (solve_power_given_binaries), so a solve of binaries
-    that a coarser config already solved at these gains, such as the
-    final allocation's greedy deal after the particle score at the same
+    The answer is a pure function of the arguments. memo is a dict the
+    caller owns (run_simulation keeps one per mission; a call without one
+    gets a fresh one): every answer is stored in it, and a call whose
+    inputs equal a stored call's exactly, the gains byte for byte, gets a
+    copy of the stored answer instead of a solve. A rate-infeasible input
+    raises and is not stored. The power solves keep their SCA runs in the
+    same dict (solve_power_given_binaries), so a solve of binaries that a
+    coarser config already solved at these gains, such as the final
+    allocation's greedy deal after the particle score at the same
     placement, goes on from that run instead of starting again.
-    memo=None solves every call afresh.
     """
+    memo = {} if memo is None else memo
     gains = np.asarray(gains, dtype=float)
-    if memo is None:
-        return _assign_binaries(gains, rcp, cfg, noise_power, None)
     key = (rcp, cfg, noise_power, gains.shape, gains.tobytes())
-    if key in memo:
-        return copy.deepcopy(memo[key])
-    out = _assign_binaries(gains, rcp, cfg, noise_power, memo)
-    memo[key] = copy.deepcopy(out)  # the caller may change what it gets
-    return out
+    if key not in memo:
+        memo[key] = _assign_binaries(gains, rcp, cfg, noise_power, memo)
+    return copy.deepcopy(memo[key])  # the caller may change what it gets
 
 
 def retain_memo(memo: dict, gains: np.ndarray) -> None:
@@ -909,8 +903,8 @@ def retain_memo(memo: dict, gains: np.ndarray) -> None:
 
 
 def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverConfig, noise_power: float, memo):
-    """assign_binaries' solve, without the answer lookup (memo still holds
-    the SCA runs). A miss solves through this and not through the public
+    """assign_binaries' solve, without the answer lookup (memo holds the
+    SCA runs). A miss solves through this and not through the public
     name, so each assign_binaries call the benchmark's tracer counts is
     one call made by solve_allocation."""
     U, D = gains.shape
@@ -920,7 +914,7 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
     # a user needs at least the water-filling power over all M subchannels
     # of its best drone, and no drone carries more than max_power
     need = _water_filling_power([M], np.ones(1), rcp.rate_floor, noise_power) / gains.max(axis=1)
-    short = np.nonzero(need * (1.0 - 1e-9) > rcp.max_power)[0]
+    short = np.nonzero(need * FLOOR_MARGIN > rcp.max_power)[0]
     if short.size:
         raise RateInfeasibleError(short, "needs more than max_power even on every subchannel of its best drone")
 

@@ -47,12 +47,6 @@ from .placement import (
 )
 
 
-# Candidate positions only need a consistent ranking, not converged optima,
-# so the per-particle solves skip the local search and run the convexified
-# loop at a coarser tolerance than the final block solve.
-PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
-
-
 @dataclass
 class Scenario:
     """Everything a run needs. Batteries in joules, geometry in meters.
@@ -136,8 +130,6 @@ class BlockResult:
     pd_battery: float
     pd_speed: float
     pd_swapped: bool
-    backhaul_ok: bool
-    sum_rate: float
     active_drones: np.ndarray
     alloc: Allocation | None = None
     sca_iterations: int = 0
@@ -186,8 +178,6 @@ def _initial_result(sc: Scenario, centers: np.ndarray, pd: PdState | None) -> Bl
         pd_battery=pd.battery if pd else float("nan"),
         pd_speed=0.0,
         pd_swapped=False,
-        backhaul_ok=True,
-        sum_rate=0.0,
         active_drones=np.ones(D, dtype=bool),
     )
 
@@ -256,7 +246,7 @@ def run_simulation(sc: Scenario) -> list:
         def evaluator(cand):
             return evaluate_particle(
                 cand, positions, user_pos, sc.channel, sc.energy, sc.time,
-                sc.rates, PARTICLE_SOLVER, memo,
+                sc.rates, memo,
             )
 
         new_positions, evals, pruned = search_positions(
@@ -345,8 +335,6 @@ def run_simulation(sc: Scenario) -> list:
             pd_battery=pd_battery,
             pd_speed=pd_speed,
             pd_swapped=pd_swapped,
-            backhaul_ok=bh_ok,
-            sum_rate=sum_rate,
             active_drones=np.ones(D, dtype=bool),
             alloc=alloc,
             sca_iterations=sca.iteration,

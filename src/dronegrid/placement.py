@@ -16,12 +16,12 @@ already reaches the incumbent's score cannot be accepted, so the search
 skips its radio solve. The transmit floor is the power that no allocation
 can undercut (`assign_power.transmit_power_floor`: interference only
 raises the power a rate needs, and a user holds at most M subchannels on
-one drone), shrunk by a relative 1e-9 so that it stays below the solver's
-answer in floating point, times the block length. The floor then adds
-the same motion and hover terms in the same order as the score, starting
-from that transmit floor instead of the solved transmit energy; rounded
-addition is monotone, so the floor never exceeds the score, exactly and
-not just within a tolerance. Every round draws all of its particles
+one drone), shrunk by `assign_power.FLOOR_MARGIN` so that it stays below
+the solver's answer in floating point, times the block length. The floor
+then adds the same motion and hover terms in the same order as the
+score, starting from that transmit floor instead of the solved transmit
+energy; rounded addition is monotone, so the floor never exceeds the
+score, exactly and not just within a tolerance. Every round draws all of its particles
 before scoring any, so pruning leaves the random stream, the incumbent
 sequence and the stopping rule unchanged: the search returns the same
 positions as without pruning, after fewer radio solves.
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign_power import (
+    FLOOR_MARGIN,
     RateConstraintParams,
     RateInfeasibleError,
     SolverConfig,
@@ -105,6 +106,11 @@ _SHRINK_FACTOR = 0.5
 # Draws per drone before generate_particles gives up and keeps the drone
 # where it was.
 _MAX_TRIES = 200
+
+# Candidate positions only need a consistent ranking, not converged optima,
+# so the per-particle solves skip the local search and run the convexified
+# loop at a coarser tolerance than the final block solve.
+PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
 
 
 def sector_partition(bounds: AreaBounds, count: int) -> list:
@@ -188,22 +194,23 @@ def evaluate_particle(
     ep: EnergyParams,
     tg: TimeGrid,
     rcp: RateConstraintParams,
-    solver_cfg: SolverConfig = SolverConfig(),
     memo: dict | None = None,
 ) -> float:
     """Energy bill (joules) of serving one block from these positions.
 
-    Re-solves the radio subproblem at the candidate placement (memo is
-    passed on to `solve_allocation`); the score is transmit energy plus
-    each drone's motion energy (at the speed implied by its displacement
-    from the previous block) plus hover energy. Infeasible placements
-    score +inf so the search simply avoids them.
+    Re-solves the radio subproblem at the candidate placement with the
+    coarse PARTICLE_SOLVER (memo is passed on to `solve_allocation`, so
+    the block's final solve at the chosen placement goes on from the
+    score's SCA run); the score is transmit energy plus each drone's
+    motion energy (at the speed implied by its displacement from the
+    previous block) plus hover energy. Infeasible placements score +inf so
+    the search simply avoids them.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     gains = gain_table(positions, user_positions, cp)
     try:
-        alloc, _ = solve_allocation(gains, rcp, solver_cfg, cp.noise_power, memo)
+        alloc, _ = solve_allocation(gains, rcp, PARTICLE_SOLVER, cp.noise_power, memo)
     except RateInfeasibleError:
         return math.inf
     return _add_motion_hover(
@@ -223,20 +230,15 @@ def particle_floor(
     """Lower bound (joules) on `evaluate_particle` at the same placement.
 
     The score's motion and hover terms, summed the same way but from the
-    transmit floor (`transmit_power_floor` at the candidate's gains, less
-    a relative 1e-9, times the block length) instead of the solved
+    transmit floor (`transmit_power_floor` at the candidate's gains, shrunk
+    by FLOOR_MARGIN, times the block length) instead of the solved
     transmit energy, so it never exceeds the score in floating point. A
     rate-infeasible candidate scores inf and gets a finite floor.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     gains = gain_table(positions, user_positions, cp)
-    # The solver's answer is strictly interior to a conservative surrogate,
-    # so its true rates clear every floor up to rounding of about 1e-13 and
-    # its summed power sits at or above the exact floor to the same order.
-    # The 1e-9 margin covers that rounding and the floor's own, so
-    # tx_floor_j <= power.sum() * block_s holds in floating point.
-    tx_floor_j = transmit_power_floor(gains, rcp, cp.noise_power) * (1.0 - 1e-9) * tg.block_s
+    tx_floor_j = transmit_power_floor(gains, rcp, cp.noise_power) * FLOOR_MARGIN * tg.block_s
     return _add_motion_hover(tx_floor_j, positions, prev_positions, ep, tg)
 
 

@@ -94,7 +94,8 @@ def _coerce(name: str, kind: str, raw, scale: float, errors: list):
 
 
 def _read_document(source) -> dict:
-    """None -> {}, dict -> copy, str -> inline JSON or a path to a file."""
+    """None -> {}, dict -> copy, str -> inline JSON or a path to a file.
+    A file that cannot be read as text raises ScenarioError naming it."""
     if source is None:
         return {}
     if isinstance(source, dict):
@@ -106,7 +107,10 @@ def _read_document(source) -> dict:
         path = Path(text)
         if not path.exists():
             raise ScenarioError([f"scenario file not found: {path}"])
-        raw = path.read_text()
+        try:
+            raw = path.read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ScenarioError([f"cannot read scenario file {path}: {err}"]) from err
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as err:
@@ -345,8 +349,9 @@ def _build_parser() -> _Parser:
 
 
 def cli_main(argv=None) -> int:
-    """Entry point. Exit codes: 0 success, 1 bad usage or invalid scenario,
-    2 runtime failure (depletion, infeasible floors, audit violations)."""
+    """Entry point. Exit codes: 0 success, 1 bad usage, an invalid or
+    unreadable scenario or an unusable --out, 2 runtime failure
+    (depletion, infeasible floors, audit violations)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -378,6 +383,13 @@ def cli_main(argv=None) -> int:
     except ScenarioError as err:
         for e in err.errors:
             print(f"scenario error: {e}", file=sys.stderr)
+        return 1
+
+    # an unusable --out fails now, not after the whole mission has run
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot create output directory {args.out}: {err}", file=sys.stderr)
         return 1
 
     try:

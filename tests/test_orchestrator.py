@@ -391,8 +391,6 @@ def _blank_result(block):
         pd_battery=float("nan"),
         pd_speed=0.0,
         pd_swapped=False,
-        backhaul_ok=True,
-        sum_rate=0.0,
         active_drones=np.ones(1, dtype=bool),
     )
 

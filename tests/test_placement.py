@@ -9,7 +9,6 @@ from dronegrid import (
     EnergyParams,
     RateConstraintParams,
     SearchConfig,
-    SolverConfig,
     TimeGrid,
     evaluate_particle,
     gain_table,
@@ -21,7 +20,7 @@ from dronegrid import (
     solve_allocation,
     transmit_power_floor,
 )
-from dronegrid.orchestrator import PARTICLE_SOLVER  # an orchestrated run's particle scoring
+from dronegrid.placement import PARTICLE_SOLVER  # the particle score's coarse solve
 
 BOUNDS = AreaBounds()
 RADIUS = BOUNDS.diagonal / 2  # initial sampling radius of the searches below
@@ -150,7 +149,7 @@ def test_evaluate_particle_hover_plus_transmit():
     rcp = RateConstraintParams(rate_floor=0.5, subchannels=4)
     pos = np.array([[0.0, 0.0]])
     users = np.array([[0.0, 0.0]])
-    val = evaluate_particle(pos, pos, users, cp, ep, tg, rcp, SolverConfig())
+    val = evaluate_particle(pos, pos, users, cp, ep, tg, rcp)
     gain = cp.ref_gain * cp.ref_dist**2 / cp.altitude**2
     m = rcp.subchannels
     tx = m * (2.0 ** (rcp.rate_floor / m) - 1.0) * cp.noise_power / gain
@@ -166,8 +165,8 @@ def test_evaluate_particle_charges_for_motion():
     users = np.array([[0.0, 0.0]])
     home = np.array([[0.0, 0.0]])
     away = np.array([[300.0, 0.0]])
-    stay = evaluate_particle(home, home, users, cp, ep, tg, rcp, SolverConfig())
-    came_back = evaluate_particle(home, away, users, cp, ep, tg, rcp, SolverConfig())
+    stay = evaluate_particle(home, home, users, cp, ep, tg, rcp)
+    came_back = evaluate_particle(home, away, users, cp, ep, tg, rcp)
     # same radio cost, but the second one pays for a 300 m repositioning
     assert came_back > stay
     assert came_back - stay == pytest.approx(
@@ -182,7 +181,7 @@ def test_evaluate_particle_infeasible_is_infinite():
     rcp = RateConstraintParams(rate_floor=6.0, subchannels=1, max_power=1.0)
     pos = np.array([[0.0, 0.0]])
     users = np.array([[350.0, 350.0]])
-    val = evaluate_particle(pos, pos, users, cp, ep, tg, rcp, SolverConfig())
+    val = evaluate_particle(pos, pos, users, cp, ep, tg, rcp)
     assert val == np.inf
 
 
@@ -210,7 +209,7 @@ def test_particle_floor_never_exceeds_the_score(seed, noise, rate_floor):
     ep, tg = EnergyParams(), TimeGrid()
     rng = np.random.default_rng(seed)
     pos, prev, ue, cp, rcp = _random_instance(rng, 2, 3, noise, rate_floor)
-    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp, PARTICLE_SOLVER)
+    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp)
     floor = particle_floor(pos, prev, ue, cp, ep, tg, rcp)
     assert floor <= val
     if rate_floor == 0.0:
@@ -229,7 +228,7 @@ def test_particle_floor_never_exceeds_the_score(seed, noise, rate_floor):
 def test_particle_floor_equals_the_score_without_users(noise, rate_floor):
     ep, tg = EnergyParams(), TimeGrid()
     pos, prev, ue, cp, rcp = _random_instance(np.random.default_rng(0), 2, 0, noise, rate_floor)
-    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp, PARTICLE_SOLVER)
+    val = evaluate_particle(pos, prev, ue, cp, ep, tg, rcp)
     assert transmit_power_floor(gain_table(pos, ue, cp), rcp, noise) == 0.0
     assert particle_floor(pos, prev, ue, cp, ep, tg, rcp) == val
 
@@ -260,7 +259,7 @@ def _pruning_instance(noise):
     prev = np.array([[0.0, 0.0], [-100.0, 100.0]])
 
     def ev(cand):
-        return evaluate_particle(cand, prev, users, cp, ep, tg, rcp, PARTICLE_SOLVER)
+        return evaluate_particle(cand, prev, users, cp, ep, tg, rcp)
 
     def bound(cand):
         return particle_floor(cand, prev, users, cp, ep, tg, rcp)

@@ -360,6 +360,36 @@ def test_cli_invalid_scenario_exits_one(tmp_path, capsys):
     assert cli_main(["--scenario", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf16_bytes"])
+def test_unreadable_scenario_fails_by_name(tmp_path, capsys, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert len(err.value.errors) == 1 and str(path) in err.value.errors[0]
+    assert cli_main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scenario error: ") and str(path) in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_on_a_file_exits_one_before_the_run(tmp_path, capsys, monkeypatch):
+    path = _write_fast_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def no_run(sc):
+        raise AssertionError("the mission ran although --out is unusable")
+
+    monkeypatch.setattr("dronegrid.scenario_io.run_simulation", no_run)
+    assert cli_main(["--scenario", str(path), "--out", str(taken)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(taken) in lines[0]
+
+
 def test_cli_failed_run_exits_two_with_partial_traces(tmp_path, capsys):
     path = _write_fast_scenario(
         tmp_path, users=0,
