@@ -9,10 +9,13 @@ the best one. Moving costs real energy, so improvements must buy more in
 transmit power than they spend in propulsion.
 
 A candidate's motion and hover energy plus a transmit floor
-(`particle_floor`) is a lower bound on its score. The transmit floor is
-the noise-only power each user's rate needs over all M subchannels of its
-best drone, which no allocation can undercut, less a relative 1e-9 for
-rounding. Candidates whose floor already reaches the best score so far
+(`particle_floor`) is a lower bound on its score. The score solves the
+powers of the greedy deal (each user in turn on its best drone with a
+free subchannel, the subchannels dealt round-robin), and the transmit
+floor is the noise-only power each user's rate needs over the
+subchannels that deal gives it, which the solved powers cannot
+undercut, less a relative 1e-9 for rounding. Dealing the binaries needs
+no solve. Candidates whose floor already reaches the best score so far
 cannot win, so the search prunes them without re-solving the radio
 problem; the answer is the same as scoring every one.
 """

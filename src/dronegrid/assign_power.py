@@ -760,8 +760,13 @@ def _split_deals(assoc: np.ndarray, M: int):
 
 
 def _greedy_binaries(gains: np.ndarray, rcp: RateConstraintParams):
+    """The greedy deal: each user in index order joins its best drone that
+    still has a free subchannel, then _deal_channels. Raises ValueError
+    when U > D*M (some user could never hold a subchannel)."""
     U, D = gains.shape
     M = rcp.subchannels
+    if U > D * M:
+        raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
     assoc = np.zeros((U, D), dtype=np.int8)
     load = np.zeros(D, dtype=int)
     for u in range(U):
@@ -907,10 +912,8 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
     SCA runs). A miss solves through this and not through the public
     name, so each assign_binaries call the benchmark's tracer counts is
     one call made by solve_allocation."""
-    U, D = gains.shape
     M = rcp.subchannels
-    if U > D * M:
-        raise ValueError(f"{U} users cannot each hold a subchannel with {D} drones x {M} subchannels")
+    assoc, chan = _greedy_binaries(gains, rcp)  # raises first when U > D*M
     # a user needs at least the water-filling power over all M subchannels
     # of its best drone, and no drone carries more than max_power
     need = _water_filling_power([M], np.ones(1), rcp.rate_floor, noise_power) / gains.max(axis=1)
@@ -918,7 +921,6 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
     if short.size:
         raise RateInfeasibleError(short, "needs more than max_power even on every subchannel of its best drone")
 
-    assoc, chan = _greedy_binaries(gains, rcp)
     obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo)
     if obj is None:
         # kept to be raised if no other binaries are feasible; it names the

@@ -13,18 +13,21 @@ Pruning. A candidate's score is bounded from below (`particle_floor`)
 by a transmit floor plus its motion and hover energy, and the incumbent
 is only replaced by a strictly lower score. A candidate whose floor
 already reaches the incumbent's score cannot be accepted, so the search
-skips its radio solve. The transmit floor is the power that no allocation
-can undercut (`assign_power.transmit_power_floor`: interference only
-raises the power a rate needs, and a user holds at most M subchannels on
-one drone), shrunk by `assign_power.FLOOR_MARGIN` so that it stays below
-the solver's answer in floating point, times the block length. The floor
-then adds the same motion and hover terms in the same order as the
-score, starting from that transmit floor instead of the solved transmit
-energy; rounded addition is monotone, so the floor never exceeds the
-score, exactly and not just within a tolerance. Every round draws all of its particles
-before scoring any, so pruning leaves the random stream, the incumbent
-sequence and the stopping rule unchanged: the search returns the same
-positions as without pruning, after fewer radio solves.
+skips its radio solve. The score solves only the greedy deal
+(`PARTICLE_SOLVER` runs no local search), so the transmit floor is that
+deal's own water-filling power (`assign_power._assignment_floor`:
+interference only raises the power a rate needs, and each user holds the
+subchannels the deal gives it), which the solved power never undercuts.
+It is shrunk by `assign_power.FLOOR_MARGIN` so that it stays below the
+solver's answer in floating point, and multiplied by the block length.
+Dealing the binaries needs no solve. The floor then adds the same motion
+and hover terms in the same order as the score, starting from that
+transmit floor instead of the solved transmit energy; rounded addition
+is monotone, so the floor never exceeds the score, exactly and not just
+within a tolerance. Every round draws all of its particles before
+scoring any, so pruning leaves the random stream, the incumbent sequence
+and the stopping rule unchanged: the search returns the same positions
+as without pruning, after fewer radio solves.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign_power import (
-    FLOOR_MARGIN,
     RateConstraintParams,
     RateInfeasibleError,
     SolverConfig,
+    _assignment_floor,
+    _greedy_binaries,
     solve_allocation,
-    transmit_power_floor,
 )
 from .channel import ChannelParams, gain_table
 from .energy import EnergyParams, TimeGrid, billed_speed, hardware_energy, hover_energy
@@ -109,7 +112,10 @@ _MAX_TRIES = 200
 
 # Candidate positions only need a consistent ranking, not converged optima,
 # so the per-particle solves skip the local search and run the convexified
-# loop at a coarser tolerance than the final block solve.
+# loop at a coarser tolerance than the final block solve. With no local
+# search (swap_passes 0) the score is the greedy deal's solved power, which
+# is what lets particle_floor bound it by that deal's _assignment_floor;
+# a score that searched other binaries could undercut that floor.
 PARTICLE_SOLVER = SolverConfig(swap_passes=0, sca_tol=1e-3, max_sca_iters=12)
 
 
@@ -230,15 +236,19 @@ def particle_floor(
     """Lower bound (joules) on `evaluate_particle` at the same placement.
 
     The score's motion and hover terms, summed the same way but from the
-    transmit floor (`transmit_power_floor` at the candidate's gains, shrunk
-    by FLOOR_MARGIN, times the block length) instead of the solved
-    transmit energy, so it never exceeds the score in floating point. A
-    rate-infeasible candidate scores inf and gets a finite floor.
+    transmit floor (`_assignment_floor` of the greedy deal that the score
+    solves, at the candidate's gains, already shrunk by FLOOR_MARGIN,
+    times the block length) instead of the solved transmit energy, so it
+    never exceeds the score in floating point. The bound holds only while
+    PARTICLE_SOLVER runs no local search. A rate-infeasible candidate
+    scores inf and gets a finite floor. Raises ValueError when the users
+    outnumber the drones' subchannels (U > D*M).
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     prev_positions = np.atleast_2d(np.asarray(prev_positions, dtype=float))
     gains = gain_table(positions, user_positions, cp)
-    tx_floor_j = transmit_power_floor(gains, rcp, cp.noise_power) * FLOOR_MARGIN * tg.block_s
+    assoc, chan = _greedy_binaries(gains, rcp)
+    tx_floor_j = _assignment_floor(assoc, chan, gains, rcp, cp.noise_power) * tg.block_s
     return _add_motion_hover(tx_floor_j, positions, prev_positions, ep, tg)
 
 

@@ -350,8 +350,9 @@ def _build_parser() -> _Parser:
 
 def cli_main(argv=None) -> int:
     """Entry point. Exit codes: 0 success, 1 bad usage, an invalid or
-    unreadable scenario or an unusable --out, 2 runtime failure
-    (depletion, infeasible floors, audit violations)."""
+    unreadable scenario or an unusable --out (a directory that cannot be
+    created, or a trace file that cannot be written there), 2 runtime
+    failure (depletion, infeasible floors, audit violations)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -400,7 +401,13 @@ def cli_main(argv=None) -> int:
         failed = str(err)
 
     if results:
-        emit_traces(results, args.out)
+        try:
+            emit_traces(results, args.out)
+        except OSError as err:
+            print(f"error: cannot write traces to {args.out}: {err}", file=sys.stderr)
+            if failed is not None:
+                print(f"run failed: {failed}", file=sys.stderr)
+            return 1
     if not args.quiet:
         for res in results:
             batt = "/".join(f"{b / KJ:.1f}" for b in res.batteries)

@@ -16,6 +16,7 @@ from dronegrid import (
     TimeGrid,
     audit_run,
     cdbs_battery_step,
+    emit_traces,
     gain_table,
     hover_energy,
     kinematics_check,
@@ -23,6 +24,7 @@ from dronegrid import (
     pd_battery_step,
     run_simulation,
     solve_allocation,
+    transmit_power_floor,
 )
 
 # small, fast search settings shared by the scenarios below
@@ -198,6 +200,54 @@ def test_transmit_floor_prunes_where_transmit_outweighs_motion():
     assert block.placement_pruned > 0
     drawn = search["particles"] * (1 + search["max_refines"])
     assert block.placement_evals + block.placement_pruned == drawn + 1
+
+
+def _transmit_floor_only(positions, prev_positions, user_positions, cp, ep, tg, rcp):
+    """particle_floor with the deal-free transmit floor (every user on all
+    M subchannels of its best drone) in place of the greedy deal's."""
+    from dronegrid.assign_power import FLOOR_MARGIN
+    from dronegrid.placement import _add_motion_hover
+
+    positions = np.atleast_2d(positions)
+    gains = gain_table(positions, user_positions, cp)
+    tx_j = transmit_power_floor(gains, rcp, cp.noise_power) * FLOOR_MARGIN * tg.block_s
+    return _add_motion_hover(tx_j, positions, np.atleast_2d(prev_positions), ep, tg)
+
+
+def test_greedy_deal_floor_prunes_without_moving_the_mission(tmp_path, monkeypatch):
+    # the shipped clustered mission with fewer particles, once with the
+    # real floor, once with no pruning at all and once with the deal-free
+    # transmit floor: the same placements, energies and trace bytes, and
+    # the greedy deal's floor prunes the most
+    from dronegrid import orchestrator
+
+    doc = json.loads((QUICK_LOOK.parent / "clustered.json").read_text())
+    doc["search"] = {**doc["search"], "particles": 8}
+    sc = load_scenario(doc)
+    floors = {
+        "deal": orchestrator.particle_floor,
+        "none": lambda *args: -np.inf,
+        "transmit": _transmit_floor_only,
+    }
+    runs = {}
+    for name, floor in floors.items():
+        monkeypatch.setattr(orchestrator, "particle_floor", floor)
+        results = run_simulation(sc)
+        paths = emit_traces(results, tmp_path / name)
+        traces = {Path(p).name: Path(p).read_bytes() for p in paths.values()}
+        runs[name] = results, traces
+    deal, deal_traces = runs["deal"]
+    assert audit_run(sc, deal) == []
+    for name in ("none", "transmit"):
+        other, other_traces = runs[name]
+        assert len(other) == len(deal)
+        for a, b in zip(deal, other):
+            for f in ("positions", "batteries", "hardware_j", "hover_j", "transmit_j"):
+                np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+        assert other_traces == deal_traces
+    pruned = {name: sum(r.placement_pruned for r in res) for name, (res, _) in runs.items()}
+    assert pruned["none"] == 0
+    assert pruned["deal"] > pruned["transmit"] > 0
 
 
 def test_charge_fires_only_at_or_below_threshold():

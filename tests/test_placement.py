@@ -10,6 +10,7 @@ from dronegrid import (
     RateConstraintParams,
     SearchConfig,
     TimeGrid,
+    assign_binaries,
     evaluate_particle,
     gain_table,
     generate_particles,
@@ -20,7 +21,9 @@ from dronegrid import (
     solve_allocation,
     transmit_power_floor,
 )
+from dronegrid.assign_power import FLOOR_MARGIN
 from dronegrid.placement import PARTICLE_SOLVER  # the particle score's coarse solve
+from dronegrid.placement import _add_motion_hover
 
 BOUNDS = AreaBounds()
 RADIUS = BOUNDS.diagonal / 2  # initial sampling radius of the searches below
@@ -187,6 +190,26 @@ def test_evaluate_particle_infeasible_is_infinite():
 
 # --- pruning: particle_floor bounds evaluate_particle exactly ---------------
 
+def test_particle_score_runs_no_local_search():
+    # particle_floor bounds the score by the greedy deal's water-filling
+    # power; that holds only because the score solves that deal and no
+    # other binaries. A local search could find binaries below the floor.
+    assert PARTICLE_SOLVER.swap_passes == 0
+
+
+def test_overloaded_fleet_raises_the_named_value_error():
+    # 5 users cannot each hold one of 2 drones x 2 subchannels
+    rcp = RateConstraintParams(subchannels=2)
+    pos = np.array([[0.0, 0.0], [100.0, 0.0]])
+    users = np.random.default_rng(0).uniform(-300.0, 300.0, size=(5, 2))
+    cp = ChannelParams()
+    match = "5 users cannot each hold a subchannel with 2 drones x 2 subchannels"
+    with pytest.raises(ValueError, match=match):
+        particle_floor(pos, pos, users, cp, EnergyParams(), TimeGrid(), rcp)
+    with pytest.raises(ValueError, match=match):
+        assign_binaries(gain_table(pos, users, cp), rcp, PARTICLE_SOLVER, cp.noise_power)
+
+
 def _random_instance(rng, drones, users, noise, rate_floor):
     prev = rng.uniform(-350.0, 350.0, size=(drones, 2))
     pos = np.clip(prev + rng.uniform(-150.0, 150.0, size=(drones, 2)), -400.0, 400.0)
@@ -220,6 +243,10 @@ def test_particle_floor_never_exceeds_the_score(seed, noise, rate_floor):
         assert floor >= motion
         if rate_floor >= 0.5:
             assert floor > motion  # a transmit term too large to round away
+    # never below the floor that needs no deal: every user on all M
+    # subchannels of its best drone
+    tx_j = transmit_power_floor(gain_table(pos, ue, cp), rcp, noise) * FLOOR_MARGIN * tg.block_s
+    assert floor >= _add_motion_hover(tx_j, pos, prev, ep, tg)
     if noise == 1e-2:
         assert val == np.inf and np.isfinite(floor)
 

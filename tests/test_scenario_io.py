@@ -390,6 +390,19 @@ def test_cli_out_on_a_file_exits_one_before_the_run(tmp_path, capsys, monkeypatc
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(taken) in lines[0]
 
 
+def test_cli_taken_trace_name_under_out_exits_one_by_name(tmp_path, capsys):
+    # --out itself is usable, so the mission runs; one trace's file name
+    # is a directory, and the write fails by name instead of a traceback
+    quick_look = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "quick_look.json"
+    out = tmp_path / "out"
+    (out / "events.csv").mkdir(parents=True)
+    assert cli_main(["--scenario", str(quick_look), "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write traces to {out}: ")
+    assert "events.csv" in lines[0]
+
+
 def test_cli_failed_run_exits_two_with_partial_traces(tmp_path, capsys):
     path = _write_fast_scenario(
         tmp_path, users=0,
