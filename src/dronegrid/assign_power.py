@@ -26,9 +26,12 @@ answer, and the answer is strictly interior, so it clears every surrogate
 floor and cap. An anchor that is not strictly feasible first goes through
 a phase I that minimises the largest rate shortfall; phase I either finds
 an interior point or proves, by the same gap bound, that none exists.
-The first anchor is tilted by a relative 1e-6 across subchannels, so
-that exact solves do not keep interchangeable subchannels alike (see
-_TILT).
+The greedy deal's SCA starts from a flat anchor. A local-search
+candidate differs from the incumbent by one move, swap or split, so its
+SCA starts from the incumbent's solved powers instead (_warm_start) and
+needs fewer rounds. Either first anchor is tilted by a relative 1e-6
+across subchannels, so that exact solves do not keep interchangeable
+subchannels alike (see _TILT).
 """
 
 from __future__ import annotations
@@ -493,10 +496,11 @@ def _probe_start(st: _Struct, rcp: RateConstraintParams):
     """Equal-split feasibility probe, solved in closed form.
 
     Splits each user's floor evenly over its subchannels, so triple r needs
-    the SINR need_r under the interference of the others: x = F x + b with
-    F = diag(need/g_own) den >= 0 and b = need * noise / g_own. From zero,
-    the power-control iteration x <- F x + b (Foschini & Miljanic, IEEE TVT
-    1993; Yates, IEEE JSAC 1995) rises monotonically to (I - F)^-1 b when
+    the SINR need_r (_sinr_need) under the interference of the others:
+    x = F x + b with F = diag(need/g_own) den >= 0 and
+    b = need * noise / g_own. From zero, the power-control iteration
+    x <- F x + b (Foschini & Miljanic, IEEE TVT 1993; Yates, IEEE JSAC
+    1995) rises monotonically to (I - F)^-1 b when
     the spectral radius of F is below 1 and diverges otherwise. One linear
     solve gives that limit, taken as such only under a positivity
     certificate: x > 0 wherever b > 0 and x == 0 where b == 0 (rate_floor
@@ -508,7 +512,8 @@ def _probe_start(st: _Struct, rcp: RateConstraintParams):
     user that holds a triple. Otherwise a box or per-drone cap breach flags
     the floor as unreachable and names the users that demand the excess.
     """
-    need = st.agg.T @ (2.0 ** (rcp.rate_floor / st.agg.sum(axis=1)) - 1.0)  # per triple
+    held, user_of = np.unique(st.agg.sum(axis=1), return_inverse=True)
+    need = st.agg.T @ np.array([_sinr_need(rcp.rate_floor, k) for k in held])[user_of]  # per triple
     b = need * st.noise / st.g_own
     try:
         x = np.linalg.solve(np.eye(st.n) - (need / st.g_own)[:, None] * st.den, b)
@@ -538,6 +543,25 @@ _INIT_POWER = 0.1
 _TOL, _CAP, _FINAL = "tol", "cap", "final"
 
 
+def _warm_start(st: _Struct, anchor) -> np.ndarray:
+    """Packed first anchor from powers solved for other binaries.
+
+    anchor is a (U, D, M) power tensor, such as the local search's
+    incumbent. A triple starts at its power there when that is positive;
+    any other triple starts at its user's total there, split evenly over
+    the user's triples here.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    own = st.pack(anchor)
+    split = st.agg.T @ (anchor.sum(axis=(1, 2))[st.users] / st.agg.sum(axis=1))
+    return np.where(own > 0, own, split)
+
+
+def _origin(anchor):
+    """What a run records of the anchor it was started from."""
+    return None if anchor is None else np.asarray(anchor, dtype=float).tobytes()
+
+
 class _ScaRun:
     """One SCA run for fixed binaries, resumable at a tighter config.
 
@@ -548,17 +572,27 @@ class _ScaRun:
     through the same iterates and does not stop earlier, so going on gives
     exactly its answer. tol is the sca_tol under which the run last
     stopped.
+
+    The first anchor is fixed when the run is created: the flat one, or
+    _warm_start's from a given power tensor, whose bytes origin keeps
+    (None for the flat one).
     """
 
-    def __init__(self, st: _Struct, gains: np.ndarray, rcp: RateConstraintParams):
+    def __init__(self, st: _Struct, gains: np.ndarray, rcp: RateConstraintParams, anchor=None):
         self.st, self.gains, self.rcp = st, gains.copy(), rcp  # the caller may change its gains
-        # reference point: flat _INIT_POWER, shrunk where a drone's triple
-        # count would already break its cap, and tilted across subchannels
-        # by a relative _TILT (see there)
-        base = min(_INIT_POWER, rcp.max_power)
-        loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
+        # reference point: _warm_start's when an anchor is given, else flat
+        # _INIT_POWER, shrunk where a drone's triple count would already
+        # break its cap; either way tilted across subchannels by a relative
+        # _TILT (see there)
         self.tilt = 1.0 + _TILT * (st.tm + 1) / st.shape[2]
-        self.y = self.tilt * np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
+        if anchor is None:
+            base = min(_INIT_POWER, rcp.max_power)
+            loads = st.cap_mat.sum(axis=1)[st.td]  # triples on each variable's drone
+            start = np.where(loads * base > 0.9 * rcp.max_power, 0.9 * rcp.max_power / loads, base)
+        else:
+            start = _warm_start(st, anchor)
+        self.y = self.tilt * start
+        self.origin = _origin(anchor)
         self.trace = []
         self.accepted = None
         self.obj_prev = math.inf
@@ -630,6 +664,7 @@ def solve_power_given_binaries(
     cfg: SolverConfig = SolverConfig(),
     noise_power: float = 1e-10,
     memo: dict | None = None,
+    anchor: np.ndarray | None = None,
 ):
     """Minimum-total-power profile for fixed binaries.
 
@@ -637,13 +672,20 @@ def solve_power_given_binaries(
     trace. Raises RateInfeasibleError when no profile within the caps can
     clear every floor, naming the violating users.
 
+    anchor, when given, is a (U, D, M) power tensor solved for other
+    binaries (assign_binaries passes its incumbent's), and the SCA starts
+    from it (_warm_start) instead of from the flat first anchor. The SCA
+    converges from any anchor, to an answer that may differ from the flat
+    start's within the SCA's tolerance.
+
     memo is assign_binaries' dict (a call without one gets a fresh one),
     and keeps one SCA run per (rcp, assigned triples, noise_power, gains),
-    the gains byte for byte. A stored run is replaced by a fresh one when
-    cfg is looser than the config it last stopped under (a larger sca_tol
-    or a max_sca_iters below its rounds); otherwise the call goes on from
-    where it stopped and gets exactly a fresh run's answer, iteration
-    count included.
+    the gains byte for byte. A run's first anchor is fixed when it is
+    created. A stored run is replaced by a fresh one when cfg is looser
+    than the config it last stopped under (a larger sca_tol or a
+    max_sca_iters below its rounds), or when it started from another
+    anchor; otherwise the call goes on from where it stopped and gets
+    exactly a fresh run's answer, iteration count included.
     """
     memo = {} if memo is None else memo
     assoc = np.asarray(assoc)
@@ -652,14 +694,14 @@ def solve_power_given_binaries(
     held = (assoc[:, :, None] != 0) & (chan != 0)
     key = (rcp, (held.shape, held.tobytes()), noise_power, gains.shape, gains.tobytes())
     run = memo.get(key)
-    if run is None or cfg.sca_tol > run.tol or cfg.max_sca_iters < run.it:
+    if run is None or cfg.sca_tol > run.tol or cfg.max_sca_iters < run.it or run.origin != _origin(anchor):
         st = _build_struct(assoc, chan, gains, noise_power)
         uncovered = np.setdiff1d(np.arange(st.shape[0]), st.users)
         if uncovered.size and rcp.rate_floor > 0:
             raise RateInfeasibleError(uncovered, "user holds no subchannel")
         if st.n == 0 or rcp.rate_floor == 0.0:
             return np.zeros(st.shape), ScaState(0, [0.0], converged=True)
-        run = memo[key] = _ScaRun(st, gains, rcp)
+        run = memo[key] = _ScaRun(st, gains, rcp, anchor)
     return run.advance(cfg)
 
 
@@ -671,6 +713,14 @@ def solve_power_given_binaries(
 FLOOR_MARGIN = 1.0 - 1e-9
 
 
+def _sinr_need(rate_floor: float, k) -> float:
+    """SINR that a rate floor split evenly over k subchannels needs on each:
+    2^(r/k) - 1, computed as expm1(ln2 r / k) so that it keeps its relative
+    precision when r/k is tiny. math.expm1 rather than np.expm1, whose last
+    bit differs on about 1% of inputs."""
+    return math.expm1(LN2 * rate_floor / k)
+
+
 def _water_filling_power(held, gains: np.ndarray, rate_floor: float, noise_power: float) -> float:
     """Summed noise-only water-filling power, watts.
 
@@ -680,13 +730,12 @@ def _water_filling_power(held, gains: np.ndarray, rate_floor: float, noise_power
     Thomas, Elements of Information Theory, ch. 9): k N (2^(r/k) - 1) / g,
     with N the noise power and r the rate floor. A user holding no
     subchannel counts inf (no power reaches a positive floor; 0 when r is
-    0) instead of the formula's NaN. math.expm1 (one call per distinct k)
-    rather than np.expm1, whose last bit differs on about 1% of inputs.
+    0) instead of the formula's NaN. One _sinr_need call per distinct k.
     """
     def need(k):
         if k == 0:
             return math.inf if rate_floor > 0 else 0.0
-        return k * noise_power * math.expm1(LN2 * rate_floor / k)
+        return k * noise_power * _sinr_need(rate_floor, k)
 
     per_k = {k: need(k) for k in set(held)}
     return float(np.sum(np.array([per_k[k] for k in held], dtype=float) / gains))
@@ -777,11 +826,11 @@ def _greedy_binaries(gains: np.ndarray, rcp: RateConstraintParams):
     return assoc, _deal_channels(assoc, M)
 
 
-def _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo):
-    """(objective, (power, state)) of the power solve; (None, error) when
-    the binaries are rate-infeasible."""
+def _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo, anchor=None):
+    """(objective, (power, state)) of the power solve from anchor (None:
+    the flat one); (None, error) when the binaries are rate-infeasible."""
     try:
-        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power, memo)
+        solved = solve_power_given_binaries(assoc, chan, gains, rcp, cfg, noise_power, memo, anchor)
     except RateInfeasibleError as err:
         return None, err
     return solved[1].objective, solved
@@ -821,17 +870,18 @@ def _neighbours(assoc: np.ndarray, M: int):
                 yield out, _deal_channels(out, M)
 
 
-def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power, memo):
+def _lowest_below(candidates, bar, gains, rcp, cfg, noise_power, memo, anchor):
     """(objective, assoc, chan, (power, state)) of the candidate binaries
     with the lowest solved power strictly below bar, None if none gets
-    below it. Each win lowers the bar to its objective, so ties keep the
+    below it. Each candidate's SCA starts from anchor (None: the flat
+    one). Each win lowers the bar to its objective, so ties keep the
     earlier candidate. Binaries whose _assignment_floor reaches the
     running bar cannot win and are not solved."""
     best = None
     for assoc, chan in candidates:
         if _assignment_floor(assoc, chan, gains, rcp, noise_power) >= bar:
             continue
-        obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo)
+        obj, solved = _objective_for(assoc, chan, gains, rcp, cfg, noise_power, memo, anchor)
         if obj is not None and obj < bar:
             best, bar = (obj, assoc, chan, solved), obj
     return best
@@ -865,12 +915,15 @@ def assign_binaries(
     incumbent less its 1e-9 acceptance margin, first the _SEARCH_BUDGET
     best probe-ranked neighbours (_neighbours, every drone dealing all M
     subchannels), then the split deals (_split_deals) of the incumbent and
-    of those neighbours, so ties keep the neighbour. A split deal is
-    solved only when its equal-split probe, a feasible profile, already
-    beats the bar. Binaries whose _assignment_floor reaches the running
-    bar are not solved; the floor never exceeds the solve's objective, so
-    the result is the same as without it. A neighbourhood whose floors
-    all reach the bar is not ranked.
+    of those neighbours, so ties keep the neighbour. Each of those solves
+    starts its SCA from the incumbent's solved powers (_warm_start), the
+    greedy deal's own from the flat anchor; a pass with no feasible
+    incumbent yet starts its candidates from the flat anchor too. A split
+    deal is solved only when its equal-split probe, a feasible profile,
+    already beats the bar. Binaries whose _assignment_floor reaches the
+    running bar are not solved; the floor never exceeds the solve's
+    objective, so the result is the same as without it. A neighbourhood
+    whose floors all reach the bar is not ranked.
 
     Raises RateInfeasibleError before any solve, naming them, when some
     users cannot clear the floor even alone on all M subchannels of their
@@ -886,7 +939,11 @@ def assign_binaries(
     same dict (solve_power_given_binaries), so a solve of binaries that a
     coarser config already solved at these gains, such as the final
     allocation's greedy deal after the particle score at the same
-    placement, goes on from that run instead of starting again.
+    placement, goes on from that run instead of starting again. A stored
+    run goes on only when it started from the same first anchor, so a
+    candidate run left by a search under another config, whose incumbent
+    had other powers, is solved afresh and the answer does not depend on
+    what the memo held.
     """
     memo = {} if memo is None else memo
     gains = np.asarray(gains, dtype=float)
@@ -949,7 +1006,10 @@ def _assign_binaries(gains: np.ndarray, rcp: RateConstraintParams, cfg: SolverCo
                 if _assignment_floor(a3, c3, gains, rcp, noise_power) < target
                 and _probe_objective(a3, c3, gains, rcp, noise_power) < target
             ]
-        best = _lowest_below(tried, target, gains, rcp, cfg, noise_power, memo)
+        # each candidate's SCA starts from the incumbent's solved powers;
+        # with no feasible incumbent yet, from the flat anchor
+        anchor = None if solved is None else solved[0]
+        best = _lowest_below(tried, target, gains, rcp, cfg, noise_power, memo, anchor)
         if best is None:
             break
         obj, assoc, chan, solved = best

@@ -174,6 +174,19 @@ def test_probe_is_the_limit_of_the_power_control_iteration():
     assert violators == [0, 1, 2]
 
 
+def test_probe_meets_a_tiny_floor_to_the_last_digits():
+    # at r = 1e-9 the SINR need 2^r - 1 = expm1(ln2 r) is 6.93147181e-10;
+    # computed as 2.0 ** r - 1.0 it comes out 1.2e-7 relative too low
+    rate = 1e-9
+    rcp = RateConstraintParams(rate_floor=rate, subchannels=1)
+    gains = np.full((1, 1), 3e-7)
+    st = _build_struct(np.ones((1, 1), dtype=np.int8), np.ones((1, 1, 1), dtype=np.int8), gains, NOISE)
+    x, feasible, _ = _probe_start(st, rcp)
+    need = math.expm1(math.log(2.0) * rate)
+    assert feasible
+    assert x[0] * gains[0, 0] / NOISE == pytest.approx(need, rel=1e-14, abs=0)
+
+
 def test_single_user_single_channel_closed_form():
     # min p s.t. log2(1 + p*Gamma/sigma^2) >= 0.5 has the explicit solution
     # p = (2^0.5 - 1) sigma^2 / Gamma
@@ -583,6 +596,71 @@ def test_a_stored_run_hands_out_copies():
     power, state = solve_power_given_binaries(*deal, gains, rcp, SolverConfig(), NOISE, memo)
     assert power.tobytes() == fresh[0].tobytes()
     assert (state.iteration, state.objective_trace) == (fresh[1].iteration, fresh[1].objective_trace)
+
+
+@pytest.fixture(scope="module")
+def warm_search():
+    """A 36-user, 4-drone, M = 12 search in which a candidate beats the
+    greedy deal, with every power solve it made: (args, (power, state)),
+    or (args, None) for a rate-infeasible one."""
+    from dronegrid import assign_power
+
+    gains = np.random.default_rng(0).uniform(1e-8, 1e-6, (36, 4))
+    rcp = RateConstraintParams(rate_floor=0.5, subchannels=12)
+    real = assign_power.solve_power_given_binaries
+    solves = []
+
+    def recording(*args):
+        try:
+            out = real(*args)
+        except RateInfeasibleError:
+            solves.append((args, None))
+            raise
+        solves.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assign_power, "solve_power_given_binaries", recording)
+        answer = assign_binaries(gains, rcp, SolverConfig(), NOISE)
+    return gains, rcp, answer, solves
+
+
+def test_local_search_candidates_start_from_the_incumbents_powers(warm_search):
+    gains, rcp, (assoc, chan, (power, state)), solves = warm_search
+    greedy = _greedy_binaries(gains, rcp)
+    assert not np.array_equal(assoc, greedy[0])  # a candidate won
+    # the greedy deal starts flat, every candidate from the greedy deal's powers
+    (first, (greedy_power, _)), *candidates = solves
+    assert [b.tobytes() for b in first[:2]] == [b.tobytes() for b in greedy] and first[7] is None
+    assert len(candidates) > 1
+    for args, out in candidates:
+        assert args[7] is greedy_power
+        assert out is not None
+        alloc = Allocation(args[0], args[1], out[0])
+        assert alloc.violations(rcp) == []
+        assert user_rates(alloc.power, gains, NOISE).min() >= rcp.rate_floor - 1e-9
+    # the winner's power is that of its binaries solved from the flat anchor
+    _, flat = solve_power_given_binaries(assoc, chan, gains, rcp, SolverConfig(), NOISE)
+    assert state.objective == pytest.approx(flat.objective, rel=1e-4)
+
+
+def test_warm_started_search_is_a_pure_function(warm_search):
+    gains, rcp, answer, _ = warm_search
+
+    def frozen(out):
+        assoc, chan, (power, state) = out
+        return assoc.tobytes(), chan.tobytes(), power.tobytes(), state.iteration, list(state.objective_trace)
+
+    expect = frozen(answer)
+    memo = {}
+    assert frozen(assign_binaries(gains, rcp, SolverConfig(), NOISE, memo)) == expect
+    assert frozen(assign_binaries(gains, rcp, SolverConfig(), NOISE, memo)) == expect
+    assert frozen(assign_binaries(gains, rcp, SolverConfig(), NOISE)) == expect
+    # a memo that holds the candidate runs of a coarser search, started
+    # from that search's incumbent, does not change the answer
+    primed = {}
+    assign_binaries(gains, rcp, SolverConfig(sca_tol=1e-2), NOISE, primed)
+    assert frozen(assign_binaries(gains, rcp, SolverConfig(), NOISE, primed)) == expect
 
 
 def test_greedy_prefers_the_stronger_drone():
